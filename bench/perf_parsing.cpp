@@ -4,7 +4,7 @@
 // and extrapolates to the paper's corpus size. A custom main() additionally
 // hand-times the sharded parallel parse at threads ∈ {1, 2, 4, 8} and emits
 // BENCH_parsing.json (mirroring perf_metrics_overhead's BENCH_metrics.json):
-// bytes/s and objects/s per thread count, speedup vs the serial reference,
+// bytes/s and objects/s per thread count, speedup vs the one-thread parse,
 // and a ≥2× speedup gate at 4 threads that only applies when the host
 // actually has ≥4 hardware threads (single-core CI boxes report the numbers
 // but cannot honestly gate on parallel speedup).
@@ -66,8 +66,8 @@ void BM_ParseAllIrrs(benchmark::State& state) {
 BENCHMARK(BM_ParseAllIrrs)->Unit(benchmark::kMillisecond);
 
 // Sharded parallel parse of all 13 dumps at a given thread count. The
-// result is byte-identical to BM_ParseAllIrrs (tests/parallel_loader_test
-// proves it); only wall-clock should move.
+// result is byte-identical to BM_ParseAllIrrs, the single-shard parse
+// (tests/parallel_loader_test proves it); only wall-clock should move.
 void BM_ParseAllIrrsParallel(benchmark::State& state) {
   const auto& dumps = generator().irr_dumps();
   const unsigned threads = static_cast<unsigned>(state.range(0));
@@ -77,8 +77,7 @@ void BM_ParseAllIrrsParallel(benchmark::State& state) {
     ir::Ir merged;
     objects = 0;
     for (const auto& name : synth::irr_names()) {
-      ir::Ir parsed =
-          irr::parse_dump_parallel(dumps.at(name), name, diag, nullptr, threads);
+      ir::Ir parsed = irr::parse_dump(dumps.at(name), name, diag, nullptr, threads);
       objects += parsed.object_count();
       irr::merge_into(merged, std::move(parsed));
     }
@@ -165,8 +164,7 @@ SweepPoint time_parse(unsigned threads, int repetitions) {
     ir::Ir merged;
     objects = 0;
     for (const auto& name : synth::irr_names()) {
-      ir::Ir parsed =
-          irr::parse_dump_parallel(dumps.at(name), name, diag, nullptr, threads);
+      ir::Ir parsed = irr::parse_dump(dumps.at(name), name, diag, nullptr, threads);
       objects += parsed.object_count();
       irr::merge_into(merged, std::move(parsed));
     }
@@ -189,7 +187,7 @@ int write_parsing_json() {
     sweep.back().speedup = sweep.front().seconds / sweep.back().seconds;
   }
 
-  // Gate: ≥2× at 4 threads vs the serial reference — only meaningful when
+  // Gate: ≥2× at 4 threads vs the one-thread parse — only meaningful when
   // the host has ≥4 hardware threads. Single-core boxes record the sweep
   // (speedups ≈ 1 or below from sharding overhead) without gating on it.
   const bool gate_applicable = hardware >= 4;

@@ -70,7 +70,7 @@ run_gated() {
   fi
 }
 
-run_gated load load "$DIR" --threads 2 --shard-kb 64
+run_gated load load "$DIR" --threads 2
 run_gated verify verify "$DIR"
 
 echo "alloc check ok"

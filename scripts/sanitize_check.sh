@@ -5,10 +5,12 @@
 # race turned heap error, leaked connection buffer, leaked socket-owning
 # object, or out-of-bounds read off a truncated mmap fails the run. The same set is then re-run
 # under a matrix of RPSLYZER_FAILPOINTS environments so the injected error,
-# delay, and truncate paths are sanitizer-clean too. Finally, when the
-# toolchain has a working TSan runtime, the relaxed-atomic telemetry hot
-# paths (obs_test) and the server loop (server_test) are re-run under
-# ThreadSanitizer in a second side build.
+# delay, and truncate paths are sanitizer-clean too. A stress step then
+# repeats the fault/parallel/repl/delta labels up to 20 times each under
+# full parallelism. Finally, when the toolchain has a working TSan runtime,
+# the relaxed-atomic telemetry hot paths (obs_test), the server loop
+# (server_test), and the loader suites are re-run under ThreadSanitizer in
+# a second side build.
 # Uses side build directories so the normal build stays fast.
 #
 #   scripts/sanitize_check.sh [build-dir]
@@ -61,6 +63,14 @@ run_labeled "irr.parse=truncate(65536)"
 # storage; this is the check that the pools do not merely hide growth).
 "$ROOT/scripts/alloc_check.sh" "$BUILD/tools/rpslyzer"
 
+# Stress step: a flake is a bug, and most only show when the suites compete
+# for every core. Each test in the concurrency-heavy labels runs up to 20
+# times under full parallelism and the first failure fails the check — no
+# retries.
+echo "== stress: ctest --repeat until-fail:20 =="
+(cd "$BUILD" && ctest -j"$(nproc)" --repeat until-fail:20 -L 'fault|parallel|repl|delta' \
+   --output-on-failure)
+
 # TSan pass (if the toolchain supports it): the metrics registry, log gate,
 # and span recording all lean on relaxed atomics, the sharded ingestion
 # pipeline merges per-shard results across a worker pool, and parallel
@@ -77,11 +87,16 @@ if cc -fsanitize=thread "$tsan_probe/probe.c" -o "$tsan_probe/probe" 2>/dev/null
   echo "== ThreadSanitizer pass =="
   cmake -B "$TSAN_BUILD" -S "$ROOT" -DRPSLYZER_SANITIZE_THREAD=ON >/dev/null
   cmake --build "$TSAN_BUILD" -j --target obs_test server_test parallel_loader_test \
-    compile_snapshot_test parallel_verify_test persist_test repl_test \
-    delta_test delta_fuzz_test arena_interner_test
+    fault_injection_test loader_files_test compile_snapshot_test parallel_verify_test \
+    persist_test repl_test delta_test delta_fuzz_test arena_interner_test
   "$TSAN_BUILD/tests/obs_test"
   "$TSAN_BUILD/tests/server_test"
   "$TSAN_BUILD/tests/parallel_loader_test"
+  # The loader's phase A reads every dump on a pool while phase B parses
+  # and merges on the coordinating thread; these suites drive that handoff
+  # through quarantine, degrade, and counted-failpoint paths.
+  "$TSAN_BUILD/tests/fault_injection_test"
+  "$TSAN_BUILD/tests/loader_files_test"
   "$TSAN_BUILD/tests/compile_snapshot_test"
   "$TSAN_BUILD/tests/parallel_verify_test"
   # The server-reload persist tests share one mmap'd snapshot across the

@@ -25,11 +25,15 @@ namespace rpslyzer {
 
 class Rpslyzer {
  public:
-  /// Parse in-memory dumps (IRR name -> text, merged in the given map's
-  /// iteration order, which must be priority order — or use the overload
-  /// with an explicit order) plus CAIDA serial-1 relationship text.
-  /// `options.threads` controls the sharded parallel parse (0 = hardware
-  /// concurrency, 1 = serial); the result is identical either way.
+  /// Parse in-memory dumps (IRR name, text), merged in the given order,
+  /// which must be priority order, plus CAIDA serial-1 relationship text.
+  /// Each dump goes through the same per-source step as from_files
+  /// (irr::load_texts): a dump holding an object over
+  /// `options.max_object_bytes`, or whose parse or merge throws, is
+  /// quarantined — an error diagnostic, a zeroed census row, nothing
+  /// merged — and the other dumps still load; source_outcomes() reports
+  /// which. `options.threads` sizes the shard pool (0 = hardware
+  /// concurrency); the result is identical at every thread count.
   static Rpslyzer from_texts(const std::vector<std::pair<std::string, std::string>>& dumps,
                              const std::string& caida_serial1,
                              const irr::LoadOptions& options = {});
@@ -70,6 +74,8 @@ class Rpslyzer {
 
  private:
   Rpslyzer() = default;
+  /// Adopt a loaded corpus; relations and index are filled in by the caller.
+  explicit Rpslyzer(irr::LoadResult loaded);
 
   // Pointer members keep Index's reference into Ir stable across moves.
   std::unique_ptr<ir::Ir> ir_;

@@ -12,8 +12,9 @@
 // ok / degraded (unavailable, skipped) / quarantined (present but failed
 // integrity checks mid-load) — and keeps going, mirroring the paper's
 // missing-dump tolerance (§4): one bad registry never takes down the other
-// twelve. Failpoint sites ("irr.open", "irr.read", "irr.parse", "irr.merge";
-// see util/failpoint.hpp) make every failure deterministic to test.
+// twelve. Failpoint sites ("irr.open", "irr.read", "irr.parse", "irr.shard",
+// "irr.merge"; see util/failpoint.hpp) make every failure deterministic to
+// test.
 
 #include <filesystem>
 #include <set>
@@ -69,17 +70,11 @@ struct LoadOptions {
   /// 0 disables the guard.
   std::size_t max_object_bytes = 8u << 20;
 
-  /// Worker threads for the parallel ingestion pipeline: sources are read
-  /// concurrently and each dump is lexed/parsed as blank-line-separated
-  /// shards across the pool, then merged deterministically so the result is
-  /// byte-identical to the serial path. 0 = hardware_concurrency; 1 forces
-  /// the reference serial path.
+  /// Worker threads for the ingestion pipeline: sources are read
+  /// concurrently and each dump is lexed/parsed as kShardBytes shards
+  /// across the pool. 0 = hardware_concurrency; 1 is a pool of one. The
+  /// result is byte-identical at every thread count.
   unsigned threads = 0;
-
-  /// Target shard size for within-dump parse parallelism. Shards are cut
-  /// only at true object boundaries, so a single object larger than this
-  /// becomes one oversized shard rather than being split.
-  std::size_t shard_target_bytes = 1u << 20;
 };
 
 struct LoadResult {
@@ -97,23 +92,25 @@ struct LoadResult {
 /// load_irrs maintains incrementally and merge_into can share.
 using RouteKeySet = std::set<std::pair<net::Prefix, ir::Asn>>;
 
-/// Parse one dump text into a fresh Ir. `counts` may be null.
-ir::Ir parse_dump(std::string_view text, std::string_view source,
-                  util::Diagnostics& diagnostics, IrrCounts* counts = nullptr);
+/// Shard size for within-dump parse parallelism. Shards are cut only at
+/// true object boundaries, so an object larger than this becomes one
+/// oversized shard rather than being split.
+inline constexpr std::size_t kShardBytes = 1u << 20;
 
-/// Parse one dump by cutting it into blank-line-separated shards and
-/// lexing/parsing them on `threads` workers (0 = hardware_concurrency;
-/// <= 1 delegates to parse_dump). Shard fragments are merged in shard
-/// order — maps first-wins, routes concatenated undeduplicated — so the
-/// returned Ir, `diagnostics` (including line numbers), and `counts` are
-/// identical to parse_dump's regardless of thread count. The "irr.parse"
-/// failpoint is evaluated exactly once, on the calling thread, before
-/// sharding; a shard worker exception is rethrown after the completed
-/// shard prefix's diagnostics are merged, mirroring the serial path's
-/// fail-mid-dump behavior.
-ir::Ir parse_dump_parallel(std::string_view text, std::string_view source,
-                           util::Diagnostics& diagnostics, IrrCounts* counts,
-                           unsigned threads, std::size_t shard_target_bytes = 1u << 20);
+/// Parse one dump text into a fresh Ir. `counts` may be null. The
+/// "irr.parse" failpoint is evaluated once, on the calling thread.
+/// `threads` <= 1 parses the whole text as one shard (0 =
+/// hardware_concurrency); more cuts it into blank-line-separated shards
+/// of ~`shard_bytes` that lex/parse on a pool and merge in shard order —
+/// maps first-wins, routes concatenated undeduplicated — so the returned
+/// Ir, `diagnostics` (line numbers included), and `counts` equal the
+/// single-shard result. A shard worker exception (including the
+/// "irr.shard" failpoint) is rethrown after the completed shard prefix's
+/// diagnostics are merged. `shard_bytes` exists for tests; loading always
+/// uses kShardBytes.
+ir::Ir parse_dump(std::string_view text, std::string_view source,
+                  util::Diagnostics& diagnostics, IrrCounts* counts = nullptr,
+                  unsigned threads = 1, std::size_t shard_bytes = kShardBytes);
 
 /// Merge `src` into `dst` with first-wins priority (dst's existing objects
 /// are kept). Route objects are deduplicated by (prefix, origin). When
@@ -126,19 +123,25 @@ void merge_into(ir::Ir& dst, ir::Ir&& src, RouteKeySet* seen = nullptr);
 /// exceptions are quarantined (error, nothing merged). Either way the
 /// remaining sources still load.
 ///
-/// With options.threads > 1 (the default resolves to hardware_concurrency)
-/// sources are read on a bounded pool and each dump parses as parallel
-/// shards, but outcomes, diagnostics, counts, and the merged corpus are
-/// byte-identical to the threads == 1 serial reference: per-source results
-/// merge on the coordinating thread in priority order, and within a source
-/// shard fragments merge in shard order. A fault in one shard quarantines
-/// only that source. The "irr.parse" and "irr.merge" failpoints still fire
-/// once per source, in priority order, on the coordinating thread;
-/// "irr.open"/"irr.read" fire per source on pool workers, so their N*
-/// budgets land on a nondeterministic *subset* of sources under parallel
-/// loading (unbounded actions behave identically either way).
+/// One pipeline at every thread count (options.threads == 1 is a pool of
+/// one). Phase A reads every file on the pool and does I/O only. Phase B
+/// walks the sources in priority order on the calling thread and owns
+/// every verdict and every failpoint evaluation: "irr.open", "irr.read",
+/// the max_object_bytes guard, "irr.parse", and "irr.merge". Each ready
+/// dump parses as kShardBytes shards on the pool and merges into the
+/// corpus. So outcomes, counts, diagnostics, and the merged corpus are
+/// byte-identical at every thread count, and a counted failpoint budget
+/// ("1*error") is spent on sources in priority order, never on whichever
+/// reader wins. A fault in one shard quarantines only that source.
 LoadResult load_irrs(const std::vector<IrrSource>& sources,
                      const LoadOptions& options = {});
+
+/// Phase B of load_irrs over in-memory dumps (name, text), in the given
+/// (priority) order: the same byte guard, parse, merge, and
+/// quarantine-on-exception per source, with the object-size detail naming
+/// the source instead of a path.
+LoadResult load_texts(const std::vector<std::pair<std::string, std::string>>& dumps,
+                      const LoadOptions& options = {});
 
 /// The paper's 13 IRRs in priority order (Table 1): names only; callers
 /// supply the directory holding "<name>.db" files.

@@ -42,20 +42,6 @@ bool slurp(std::ifstream& in, std::string* text, std::string* detail) {
     *detail = "I/O error after " + std::to_string(text->size()) + " bytes";
     return false;
   }
-  if (const fp::Hit hit = fp::hit("irr.read")) {
-    if (hit.is_error()) {
-      *detail = "injected read fault: " + hit.message;
-      return false;
-    }
-    if (hit.is_truncate()) {
-      // Simulates a transfer that died mid-file *and was detected*: the
-      // stream handed back fewer bytes than the dump holds.
-      text->resize(std::min(text->size(), hit.truncate_at));
-      *detail = "injected mid-read truncation at " +
-                std::to_string(text->size()) + " bytes";
-      return false;
-    }
-  }
   return true;
 }
 
@@ -79,14 +65,37 @@ unsigned resolve_threads(unsigned threads) {
   return threads == 0 ? std::max(1u, std::thread::hardware_concurrency()) : threads;
 }
 
-/// The lex+parse core shared by the serial and sharded paths: no failpoint,
-/// no span, no counts->bytes — callers own those so each fires exactly once
-/// per dump regardless of shard count. Lexer and parser diagnostics go to
-/// *separate* sinks because the serial path reports all lexer diagnostics
-/// before any parser diagnostic (lex_objects finishes before the parse
-/// loop starts); the shard merge preserves that phase order by merging
-/// every shard's lex sink before any shard's parse sink. Serial callers
-/// pass the same sink twice.
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+}
+
+/// Run body(i) for every i in [0, items) on up to `threads` workers that
+/// pull indices off an atomic cursor; a single worker runs inline.
+template <typename Body>
+void for_each_index(unsigned threads, std::size_t items, const Body& body) {
+  std::atomic<std::size_t> next{0};
+  const auto worker = [&] {
+    for (std::size_t i = next.fetch_add(1); i < items; i = next.fetch_add(1)) body(i);
+  };
+  const auto workers = static_cast<unsigned>(std::min<std::size_t>(threads, items));
+  if (workers <= 1) {
+    worker();
+    return;
+  }
+  std::vector<std::thread> pool;
+  pool.reserve(workers);
+  for (unsigned t = 0; t < workers; ++t) pool.emplace_back(worker);
+  for (auto& thread : pool) thread.join();
+}
+
+/// The lex+parse core of parse_dump: no failpoint, no span, no
+/// counts->bytes — parse_dump owns those so each fires exactly once per
+/// dump regardless of shard count. Lexer and parser diagnostics go to
+/// *separate* sinks because a single-shard parse reports all lexer
+/// diagnostics before any parser diagnostic (lex_objects finishes before
+/// the parse loop starts); the shard merge preserves that phase order by
+/// merging every shard's lex sink before any shard's parse sink. The
+/// single-shard caller passes the same sink twice.
 void parse_text_into(std::string_view text, std::string_view source,
                      std::size_t line_offset, ir::Ir& ir,
                      util::Diagnostics& lex_diagnostics,
@@ -136,10 +145,10 @@ void parse_text_into(std::string_view text, std::string_view source,
 }
 
 /// Merge a shard fragment into the per-dump accumulator. Unlike merge_into
-/// this must NOT deduplicate routes: the serial parse_dump keeps every
-/// route object it sees (dedup happens later, across sources, in
-/// merge_into), so shard fragments concatenate routes in shard order and
-/// only the keyed maps resolve first-wins (dst = earlier shards).
+/// this must NOT deduplicate routes: a single-shard parse keeps every route
+/// object it sees (dedup happens later, across sources, in merge_into), so
+/// shard fragments concatenate routes in shard order and only the keyed
+/// maps resolve first-wins (dst = earlier shards).
 void append_fragment(ir::Ir& dst, ir::Ir&& src) {
   dst.aut_nums.merge(src.aut_nums);
   dst.as_sets.merge(src.as_sets);
@@ -152,7 +161,7 @@ void append_fragment(ir::Ir& dst, ir::Ir&& src) {
 }
 
 /// Sum a shard's census into the per-dump census (bytes excluded: it is
-/// set once from the whole dump, matching serial parse_dump).
+/// set once from the whole dump).
 void accumulate_counts(IrrCounts& total, const IrrCounts& shard) {
   total.objects += shard.objects;
   total.aut_nums += shard.aut_nums;
@@ -164,6 +173,172 @@ void accumulate_counts(IrrCounts& total, const IrrCounts& shard) {
   total.peering_sets += shard.peering_sets;
   total.filter_sets += shard.filter_sets;
 }
+
+/// What phase A hands phase B for one file: the bytes read, or why the
+/// file could not be read whole (status kDegraded or kQuarantined, with
+/// detail). Phase A does I/O only; it evaluates no failpoint and emits no
+/// diagnostic, log, or verdict of its own.
+struct ReadSource {
+  std::string text;
+  SourceStatus status = SourceStatus::kOk;
+  std::string detail;
+  double seconds = 0;
+};
+
+ReadSource read_source(const IrrSource& source, obs::Counter& bytes_read) {
+  ReadSource read;
+  const auto start = std::chrono::steady_clock::now();
+  std::ifstream in;
+  {
+    obs::Span open_span("irr.open", source.name);
+    std::error_code ec;
+    const bool exists = std::filesystem::exists(source.path, ec);
+    if (exists && !std::filesystem::is_regular_file(source.path, ec)) {
+      read.status = SourceStatus::kQuarantined;
+      read.detail = "not a regular file: " + source.path.string();
+    } else if (in.open(source.path, std::ios::binary); !in) {
+      read.status = SourceStatus::kDegraded;
+      read.detail = "IRR dump unavailable: " + source.path.string();
+    }
+  }
+  if (read.status == SourceStatus::kOk) {
+    obs::Span read_span("irr.read", source.name);
+    std::string error;
+    if (!slurp(in, &read.text, &error)) {
+      read.status = SourceStatus::kQuarantined;
+      read.detail = "read failed mid-dump (" + error + "): " + source.path.string();
+    }
+    bytes_read.inc(read.text.size());
+  }
+  read.seconds = seconds_since(start);
+  return read;
+}
+
+/// Phase B's verdict on a file phase A read, evaluating the file
+/// failpoints in the order the file path meets them: "irr.open" before the
+/// open result, "irr.read" only after a whole read. kOk means read.text is
+/// the complete dump.
+SourceOutcome file_verdict(const IrrSource& source, const ReadSource& read) {
+  if (const fp::Hit hit = fp::hit("irr.open"); hit && hit.is_error()) {
+    return {source.name, SourceStatus::kDegraded,
+            "IRR dump unavailable: injected open fault: " + hit.message};
+  }
+  SourceOutcome outcome{source.name, read.status, read.detail};
+  if (outcome.status != SourceStatus::kOk) return outcome;
+  if (const fp::Hit hit = fp::hit("irr.read")) {
+    // truncate simulates a transfer that died mid-file *and was detected*:
+    // the stream handed back fewer bytes than the dump holds.
+    std::string reason;
+    if (hit.is_error()) {
+      reason = "injected read fault: " + hit.message;
+    } else if (hit.is_truncate()) {
+      reason = "injected mid-read truncation at " +
+               std::to_string(std::min(read.text.size(), hit.truncate_at)) + " bytes";
+    }
+    if (!reason.empty()) {
+      outcome.status = SourceStatus::kQuarantined;
+      outcome.detail = "read failed mid-dump (" + reason + "): " + source.path.string();
+    }
+  }
+  return outcome;
+}
+
+/// Phase B's per-source step, the one place a dump text becomes an
+/// outcome, a census row, and a first-wins merge into the corpus. Runs on
+/// the coordinating thread, one source at a time in priority order.
+class Ingest {
+ public:
+  explicit Ingest(const LoadOptions& options)
+      : max_object_bytes_(options.max_object_bytes),
+        threads_(resolve_threads(options.threads)),
+        registry_(obs::MetricsRegistry::global()),
+        objects_parsed_(registry_.counter("rpslyzer_loader_objects_parsed_total",
+                                          "RPSL objects parsed from IRR dumps")),
+        source_seconds_(registry_.histogram("rpslyzer_loader_source_seconds",
+                                            "Wall time loading one IRR source",
+                                            obs::exponential_bounds(0.001, 4.0, 10))) {}
+
+  unsigned threads() const noexcept { return threads_; }
+
+  /// `outcome` arrives kOk unless the source already failed before its
+  /// text could be trusted; `origin` names the dump in the byte guard's
+  /// detail; `seconds` is wall time already spent on this source.
+  void add(std::string_view text, SourceOutcome outcome, const std::string& origin,
+           double seconds) {
+    const auto start = std::chrono::steady_clock::now();
+    const std::string& name = outcome.name;
+    IrrCounts counts;
+    counts.name = name;
+    if (outcome.status == SourceStatus::kOk && max_object_bytes_ > 0) {
+      const std::size_t largest = largest_object_bytes(text);
+      if (largest > max_object_bytes_) {
+        outcome.status = SourceStatus::kQuarantined;
+        outcome.detail = "pathological object of " + std::to_string(largest) +
+                         " bytes (limit " + std::to_string(max_object_bytes_) +
+                         "): " + origin;
+      }
+    }
+    if (outcome.status == SourceStatus::kOk) {
+      try {
+        ir::Ir parsed = parse_dump(text, name, result_.diagnostics, &counts, threads_);
+        const std::size_t raw_routes = parsed.routes.size();
+        {
+          obs::Span merge_span("irr.merge", name);
+          merge_into(result_.ir, std::move(parsed), &seen_routes_);
+        }
+        result_.raw_route_objects += raw_routes;
+        objects_parsed_.inc(counts.objects);
+      } catch (const std::exception& e) {
+        outcome.status = SourceStatus::kQuarantined;
+        outcome.detail = std::string("exception mid-load: ") + e.what();
+        counts = IrrCounts{};  // partial counts would misstate the census
+        counts.name = name;
+      }
+    }
+    if (outcome.status == SourceStatus::kDegraded) {
+      result_.diagnostics.warning(util::DiagnosticKind::kOther, outcome.detail, name,
+                                  {name, 0});
+      obs::log_warn("loader", "source degraded",
+                    {{"source", name}, {"reason", outcome.detail}});
+    } else if (outcome.status == SourceStatus::kQuarantined) {
+      // Quarantine: the dump exists but cannot be trusted; merging a prefix
+      // of it would silently shrink the corpus, so none of it is merged and
+      // the failure is recorded as a hard error (unlike a missing dump).
+      result_.diagnostics.error(util::DiagnosticKind::kOther,
+                                "IRR dump quarantined: " + outcome.detail, name,
+                                {name, 0});
+      obs::log_error("loader", "source quarantined",
+                     {{"source", name}, {"reason", outcome.detail}});
+    }
+    registry_
+        .counter("rpslyzer_loader_sources_total", "IRR source load outcomes",
+                 {{"source", name}, {"status", to_string(outcome.status)}})
+        .inc();
+    source_seconds_.observe(seconds + seconds_since(start));
+    result_.counts.push_back(std::move(counts));
+    result_.outcomes.push_back(std::move(outcome));
+  }
+
+  LoadResult finish() && {
+    obs::log_info("loader", "load complete",
+                  {{"sources", result_.outcomes.size()},
+                   {"threads", threads_},
+                   {"degraded", result_.count_with(SourceStatus::kDegraded)},
+                   {"quarantined", result_.count_with(SourceStatus::kQuarantined)},
+                   {"routes", result_.ir.routes.size()},
+                   {"aut_nums", result_.ir.aut_nums.size()}});
+    return std::move(result_);
+  }
+
+ private:
+  std::size_t max_object_bytes_;
+  unsigned threads_;
+  obs::MetricsRegistry& registry_;
+  obs::Counter& objects_parsed_;
+  obs::Histogram& source_seconds_;
+  LoadResult result_;
+  RouteKeySet seen_routes_;
+};
 
 }  // namespace
 
@@ -195,7 +370,8 @@ const SourceOutcome* LoadResult::outcome(std::string_view name) const noexcept {
 }
 
 ir::Ir parse_dump(std::string_view text, std::string_view source,
-                  util::Diagnostics& diagnostics, IrrCounts* counts) {
+                  util::Diagnostics& diagnostics, IrrCounts* counts, unsigned threads,
+                  std::size_t shard_bytes) {
   obs::Span span("irr.parse", source);
   if (const fp::Hit hit = fp::hit("irr.parse")) {
     if (hit.is_error()) throw std::runtime_error("irr.parse: " + hit.message);
@@ -203,28 +379,15 @@ ir::Ir parse_dump(std::string_view text, std::string_view source,
     // and must still produce a clean (if smaller) object stream.
     if (hit.is_truncate()) text = text.substr(0, std::min(text.size(), hit.truncate_at));
   }
+  if (counts != nullptr) counts->bytes = text.size();
   ir::Ir ir;
-  if (counts != nullptr) counts->bytes = text.size();
-  parse_text_into(text, source, 0, ir, diagnostics, diagnostics, counts);
-  return ir;
-}
-
-ir::Ir parse_dump_parallel(std::string_view text, std::string_view source,
-                           util::Diagnostics& diagnostics, IrrCounts* counts,
-                           unsigned threads, std::size_t shard_target_bytes) {
   threads = resolve_threads(threads);
-  if (threads <= 1) return parse_dump(text, source, diagnostics, counts);
-
-  obs::Span span("irr.parse", source);
-  // Same prologue as parse_dump, evaluated exactly once for the whole dump
-  // so failpoint budgets and truncation semantics match the serial path.
-  if (const fp::Hit hit = fp::hit("irr.parse")) {
-    if (hit.is_error()) throw std::runtime_error("irr.parse: " + hit.message);
-    if (hit.is_truncate()) text = text.substr(0, std::min(text.size(), hit.truncate_at));
+  if (threads <= 1) {
+    parse_text_into(text, source, 0, ir, diagnostics, diagnostics, counts);
+    return ir;
   }
-  if (counts != nullptr) counts->bytes = text.size();
 
-  const std::vector<rpsl::Shard> shards = rpsl::shard_objects(text, shard_target_bytes);
+  const std::vector<rpsl::Shard> shards = rpsl::shard_objects(text, shard_bytes);
   auto& registry = obs::MetricsRegistry::global();
   registry
       .counter("rpslyzer_loader_shards_total",
@@ -242,44 +405,28 @@ ir::Ir parse_dump_parallel(std::string_view text, std::string_view source,
     std::exception_ptr error;
   };
   std::vector<ShardSlot> slots(shards.size());
-
-  std::atomic<std::size_t> next{0};
-  auto worker = [&] {
-    while (true) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= shards.size()) break;
-      ShardSlot& slot = slots[i];
-      const auto start = std::chrono::steady_clock::now();
-      try {
-        obs::Span shard_span("irr.shard", source);
-        parse_text_into(shards[i].text, source, shards[i].line_offset, slot.ir,
-                        slot.lex_diagnostics, slot.parse_diagnostics, &slot.counts);
-      } catch (...) {
-        slot.error = std::current_exception();
+  for_each_index(threads, shards.size(), [&](std::size_t i) {
+    ShardSlot& slot = slots[i];
+    const auto start = std::chrono::steady_clock::now();
+    try {
+      obs::Span shard_span("irr.shard", source);
+      if (const fp::Hit hit = fp::hit("irr.shard"); hit && hit.is_error()) {
+        throw std::runtime_error("irr.shard: " + hit.message);
       }
-      const double seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-      throughput.observe(static_cast<double>(shards[i].text.size()) /
-                         std::max(seconds, 1e-9));
+      parse_text_into(shards[i].text, source, shards[i].line_offset, slot.ir,
+                      slot.lex_diagnostics, slot.parse_diagnostics, &slot.counts);
+    } catch (...) {
+      slot.error = std::current_exception();
     }
-  };
-  const unsigned workers =
-      static_cast<unsigned>(std::min<std::size_t>(threads, shards.size()));
-  if (workers <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned t = 0; t < workers; ++t) pool.emplace_back(worker);
-    for (auto& thread : pool) thread.join();
-  }
+    throughput.observe(static_cast<double>(shards[i].text.size()) /
+                       std::max(seconds_since(start), 1e-9));
+  });
 
   // Deterministic merge in shard (= text) order, lexer phase before parser
-  // phase — exactly the serial ordering, where lex_objects finishes over
-  // the whole dump before the parse loop starts. On a worker exception the
-  // completed prefix's parser diagnostics are still delivered — like the
-  // serial path failing mid-dump — before the exception resumes here.
-  ir::Ir ir;
+  // phase — exactly the single-shard ordering, where lex_objects finishes
+  // over the whole dump before the parse loop starts. On a worker exception
+  // the completed prefix's parser diagnostics are still delivered — like a
+  // single-shard parse failing mid-dump — before the exception resumes here.
   for (ShardSlot& slot : slots) diagnostics.merge(std::move(slot.lex_diagnostics));
   for (ShardSlot& slot : slots) {
     diagnostics.merge(std::move(slot.parse_diagnostics));
@@ -315,339 +462,44 @@ void merge_into(ir::Ir& dst, ir::Ir&& src, RouteKeySet* seen) {
   src.routes.clear();
 }
 
-namespace {
-
-/// The serial reference pipeline (options.threads == 1): one source at a
-/// time, slurp → lex → parse → merge. The parallel pipeline is proven
-/// byte-identical to this by tests/parallel_loader_test.cpp, so this body
-/// stays deliberately independent of the sharded path.
-LoadResult load_irrs_serial(const std::vector<IrrSource>& sources,
-                            const LoadOptions& options) {
+LoadResult load_irrs(const std::vector<IrrSource>& sources, const LoadOptions& options) {
   obs::Span load_span("irr.load");
-  auto& registry = obs::MetricsRegistry::global();
-  obs::Counter& bytes_read = registry.counter(
+  obs::Counter& bytes_read = obs::MetricsRegistry::global().counter(
       "rpslyzer_loader_bytes_read_total", "Bytes read from IRR dump files");
-  obs::Counter& objects_parsed = registry.counter(
-      "rpslyzer_loader_objects_parsed_total", "RPSL objects parsed from IRR dumps");
-  obs::Histogram& source_seconds = registry.histogram(
-      "rpslyzer_loader_source_seconds", "Wall time loading one IRR source",
-      obs::exponential_bounds(0.001, 4.0, 10));
+  Ingest ingest(options);
 
-  LoadResult result;
-  RouteKeySet seen_routes;
-  for (const auto& source : sources) {
-    obs::Span source_span("irr.source", source.name);
-    const auto source_start = std::chrono::steady_clock::now();
-    IrrCounts counts;
-    counts.name = source.name;
-    SourceOutcome outcome;
-    outcome.name = source.name;
-
-    const auto degrade = [&](std::string detail) {
-      outcome.status = SourceStatus::kDegraded;
-      result.diagnostics.warning(util::DiagnosticKind::kOther, detail, source.name,
-                                 {source.name, 0});
-      obs::log_warn("loader", "source degraded",
-                    {{"source", source.name}, {"reason", detail}});
-      outcome.detail = std::move(detail);
-    };
-    // Quarantine: the dump exists but cannot be trusted; merging a prefix
-    // of it would silently shrink the corpus, so none of it is merged and
-    // the failure is recorded as a hard error (unlike a missing dump).
-    const auto quarantine = [&](std::string detail) {
-      outcome.status = SourceStatus::kQuarantined;
-      result.diagnostics.error(util::DiagnosticKind::kOther,
-                               "IRR dump quarantined: " + detail, source.name,
-                               {source.name, 0});
-      obs::log_error("loader", "source quarantined",
-                     {{"source", source.name}, {"reason", detail}});
-      outcome.detail = std::move(detail);
-    };
-
-    const auto finish = [&] {
-      registry
-          .counter("rpslyzer_loader_sources_total", "IRR source load outcomes",
-                   {{"source", source.name}, {"status", to_string(outcome.status)}})
-          .inc();
-      source_seconds.observe(
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - source_start)
-              .count());
-      result.counts.push_back(std::move(counts));
-      result.outcomes.push_back(std::move(outcome));
-    };
-
-    std::ifstream in;
-    {
-      obs::Span open_span("irr.open", source.name);
-      if (const fp::Hit hit = fp::hit("irr.open"); hit && hit.is_error()) {
-        degrade("IRR dump unavailable: injected open fault: " + hit.message);
-        finish();
-        continue;
-      }
-      std::error_code ec;
-      const bool exists = std::filesystem::exists(source.path, ec);
-      if (exists && !std::filesystem::is_regular_file(source.path, ec)) {
-        quarantine("not a regular file: " + source.path.string());
-        finish();
-        continue;
-      }
-      in.open(source.path, std::ios::binary);
-      if (!in) {
-        degrade("IRR dump unavailable: " + source.path.string());
-        finish();
-        continue;
-      }
-    }
-    std::string text;
-    std::string read_error;
-    bool read_ok;
-    {
-      obs::Span read_span("irr.read", source.name);
-      read_ok = slurp(in, &text, &read_error);
-    }
-    bytes_read.inc(text.size());
-    if (!read_ok) {
-      quarantine("read failed mid-dump (" + read_error + "): " + source.path.string());
-      finish();
-      continue;
-    }
-    if (options.max_object_bytes > 0) {
-      const std::size_t largest = largest_object_bytes(text);
-      if (largest > options.max_object_bytes) {
-        quarantine("pathological object of " + std::to_string(largest) +
-                   " bytes (limit " + std::to_string(options.max_object_bytes) +
-                   "): " + source.path.string());
-        finish();
-        continue;
-      }
-    }
-    try {
-      ir::Ir parsed = parse_dump(text, source.name, result.diagnostics, &counts);
-      const std::size_t raw_routes = parsed.routes.size();
-      {
-        obs::Span merge_span("irr.merge", source.name);
-        merge_into(result.ir, std::move(parsed), &seen_routes);
-      }
-      result.raw_route_objects += raw_routes;
-      objects_parsed.inc(counts.objects);
-    } catch (const std::exception& e) {
-      quarantine(std::string("exception mid-load: ") + e.what());
-      counts = IrrCounts{};  // partial counts would misstate the census
-      counts.name = source.name;
-    }
-    finish();
-  }
-  obs::log_info("loader", "load complete",
-                {{"sources", sources.size()},
-                 {"degraded", result.count_with(SourceStatus::kDegraded)},
-                 {"quarantined", result.count_with(SourceStatus::kQuarantined)},
-                 {"routes", result.ir.routes.size()},
-                 {"aut_nums", result.ir.aut_nums.size()}});
-  return result;
-}
-
-/// What phase A (concurrent per-source I/O) hands to phase B: either the
-/// complete, guard-checked dump bytes or a pre-parse verdict. Diagnostics,
-/// logs, and metrics for the verdict are deliberately NOT emitted here —
-/// phase B materializes them on the coordinating thread in priority order
-/// so their order matches the serial reference exactly.
-struct PreloadedSource {
-  std::string text;
-  bool ready = false;  // text is complete and passed the integrity guards
-  SourceStatus status = SourceStatus::kOk;
-  std::string detail;  // degrade/quarantine reason when !ready
-  double read_seconds = 0;
-};
-
-PreloadedSource preload_source(const IrrSource& source, const LoadOptions& options,
-                               obs::Counter& bytes_read) {
-  PreloadedSource pre;
-  const auto start = std::chrono::steady_clock::now();
-  const auto done = [&](SourceStatus status, std::string detail) {
-    pre.status = status;
-    pre.detail = std::move(detail);
-    pre.read_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  };
-
-  std::ifstream in;
-  {
-    obs::Span open_span("irr.open", source.name);
-    if (const fp::Hit hit = fp::hit("irr.open"); hit && hit.is_error()) {
-      done(SourceStatus::kDegraded,
-           "IRR dump unavailable: injected open fault: " + hit.message);
-      return pre;
-    }
-    std::error_code ec;
-    const bool exists = std::filesystem::exists(source.path, ec);
-    if (exists && !std::filesystem::is_regular_file(source.path, ec)) {
-      done(SourceStatus::kQuarantined, "not a regular file: " + source.path.string());
-      return pre;
-    }
-    in.open(source.path, std::ios::binary);
-    if (!in) {
-      done(SourceStatus::kDegraded, "IRR dump unavailable: " + source.path.string());
-      return pre;
-    }
-  }
-  std::string read_error;
-  bool read_ok;
-  {
-    obs::Span read_span("irr.read", source.name);
-    read_ok = slurp(in, &pre.text, &read_error);
-  }
-  bytes_read.inc(pre.text.size());
-  if (!read_ok) {
-    done(SourceStatus::kQuarantined,
-         "read failed mid-dump (" + read_error + "): " + source.path.string());
-    return pre;
-  }
-  if (options.max_object_bytes > 0) {
-    const std::size_t largest = largest_object_bytes(pre.text);
-    if (largest > options.max_object_bytes) {
-      done(SourceStatus::kQuarantined,
-           "pathological object of " + std::to_string(largest) + " bytes (limit " +
-               std::to_string(options.max_object_bytes) + "): " + source.path.string());
-      return pre;
-    }
-  }
-  pre.ready = true;
-  pre.read_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  return pre;
-}
-
-/// The parallel pipeline: phase A reads + integrity-checks every source on
-/// a bounded pool, phase B walks sources in priority order on this thread,
-/// parsing each ready dump as parallel shards (parse_dump_parallel) and
-/// merging through the shared RouteKeySet. All ordering-sensitive effects
-/// (diagnostics, outcomes, counts, merge, "irr.parse"/"irr.merge"
-/// failpoints) happen in phase B, in priority order — which is why the
-/// result is byte-identical to load_irrs_serial.
-LoadResult load_irrs_parallel(const std::vector<IrrSource>& sources,
-                              const LoadOptions& options, unsigned threads) {
-  obs::Span load_span("irr.load");
-  auto& registry = obs::MetricsRegistry::global();
-  obs::Counter& bytes_read = registry.counter(
-      "rpslyzer_loader_bytes_read_total", "Bytes read from IRR dump files");
-  obs::Counter& objects_parsed = registry.counter(
-      "rpslyzer_loader_objects_parsed_total", "RPSL objects parsed from IRR dumps");
-  obs::Histogram& source_seconds = registry.histogram(
-      "rpslyzer_loader_source_seconds", "Wall time loading one IRR source",
-      obs::exponential_bounds(0.001, 4.0, 10));
-
-  // Phase A: concurrent reads. Workers pull source indices off an atomic
-  // cursor; each source's open/read/guard work stays on one worker, so the
-  // per-source failpoint ordering (irr.open before irr.read) holds.
-  std::vector<PreloadedSource> preloaded(sources.size());
+  // Phase A: concurrent reads, I/O only. Every verdict and failpoint waits
+  // for phase B, so nothing here depends on which reader runs first.
+  std::vector<ReadSource> reads(sources.size());
   {
     obs::Span read_span("irr.read_all");
-    std::atomic<std::size_t> next{0};
-    auto reader = [&] {
-      while (true) {
-        const std::size_t i = next.fetch_add(1);
-        if (i >= sources.size()) break;
-        obs::Span source_span("irr.source", sources[i].name);
-        preloaded[i] = preload_source(sources[i], options, bytes_read);
-      }
-    };
-    const unsigned readers =
-        static_cast<unsigned>(std::min<std::size_t>(threads, sources.size()));
-    if (readers <= 1) {
-      reader();
-    } else {
-      std::vector<std::thread> pool;
-      pool.reserve(readers);
-      for (unsigned t = 0; t < readers; ++t) pool.emplace_back(reader);
-      for (auto& thread : pool) thread.join();
-    }
+    for_each_index(ingest.threads(), sources.size(), [&](std::size_t i) {
+      obs::Span source_span("irr.source", sources[i].name);
+      reads[i] = read_source(sources[i], bytes_read);
+    });
   }
 
-  // Phase B: priority-order parse + merge on this thread. Shard-level
-  // parallelism inside parse_dump_parallel keeps the pool busy while the
-  // ordering-sensitive merge stays sequential.
-  LoadResult result;
-  RouteKeySet seen_routes;
+  // Phase B: priority order on this thread. Shard-level parallelism inside
+  // parse_dump keeps the pool busy while the ordering-sensitive verdicts
+  // and merge stay sequential.
   for (std::size_t i = 0; i < sources.size(); ++i) {
-    const IrrSource& source = sources[i];
-    PreloadedSource& pre = preloaded[i];
-    const auto phase_b_start = std::chrono::steady_clock::now();
-    IrrCounts counts;
-    counts.name = source.name;
-    SourceOutcome outcome;
-    outcome.name = source.name;
-
-    const auto degrade = [&](std::string detail) {
-      outcome.status = SourceStatus::kDegraded;
-      result.diagnostics.warning(util::DiagnosticKind::kOther, detail, source.name,
-                                 {source.name, 0});
-      obs::log_warn("loader", "source degraded",
-                    {{"source", source.name}, {"reason", detail}});
-      outcome.detail = std::move(detail);
-    };
-    const auto quarantine = [&](std::string detail) {
-      outcome.status = SourceStatus::kQuarantined;
-      result.diagnostics.error(util::DiagnosticKind::kOther,
-                               "IRR dump quarantined: " + detail, source.name,
-                               {source.name, 0});
-      obs::log_error("loader", "source quarantined",
-                     {{"source", source.name}, {"reason", detail}});
-      outcome.detail = std::move(detail);
-    };
-
-    if (!pre.ready) {
-      if (pre.status == SourceStatus::kDegraded) {
-        degrade(std::move(pre.detail));
-      } else {
-        quarantine(std::move(pre.detail));
-      }
-    } else {
-      try {
-        ir::Ir parsed = parse_dump_parallel(pre.text, source.name, result.diagnostics,
-                                            &counts, threads, options.shard_target_bytes);
-        const std::size_t raw_routes = parsed.routes.size();
-        {
-          obs::Span merge_span("irr.merge", source.name);
-          merge_into(result.ir, std::move(parsed), &seen_routes);
-        }
-        result.raw_route_objects += raw_routes;
-        objects_parsed.inc(counts.objects);
-      } catch (const std::exception& e) {
-        quarantine(std::string("exception mid-load: ") + e.what());
-        counts = IrrCounts{};  // partial counts would misstate the census
-        counts.name = source.name;
-      }
-    }
-    pre.text.clear();
-    pre.text.shrink_to_fit();
-
-    registry
-        .counter("rpslyzer_loader_sources_total", "IRR source load outcomes",
-                 {{"source", source.name}, {"status", to_string(outcome.status)}})
-        .inc();
-    source_seconds.observe(
-        pre.read_seconds +
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - phase_b_start)
-            .count());
-    result.counts.push_back(std::move(counts));
-    result.outcomes.push_back(std::move(outcome));
+    const auto start = std::chrono::steady_clock::now();
+    SourceOutcome outcome = file_verdict(sources[i], reads[i]);
+    ingest.add(reads[i].text, std::move(outcome), sources[i].path.string(),
+               reads[i].seconds + seconds_since(start));
+    reads[i] = ReadSource{};  // release the dump bytes before the next parse
   }
-  obs::log_info("loader", "load complete",
-                {{"sources", sources.size()},
-                 {"threads", threads},
-                 {"degraded", result.count_with(SourceStatus::kDegraded)},
-                 {"quarantined", result.count_with(SourceStatus::kQuarantined)},
-                 {"routes", result.ir.routes.size()},
-                 {"aut_nums", result.ir.aut_nums.size()}});
-  return result;
+  return std::move(ingest).finish();
 }
 
-}  // namespace
-
-LoadResult load_irrs(const std::vector<IrrSource>& sources, const LoadOptions& options) {
-  const unsigned threads = resolve_threads(options.threads);
-  if (threads <= 1 || sources.empty()) return load_irrs_serial(sources, options);
-  return load_irrs_parallel(sources, options, threads);
+LoadResult load_texts(const std::vector<std::pair<std::string, std::string>>& dumps,
+                      const LoadOptions& options) {
+  obs::Span load_span("irr.load");
+  Ingest ingest(options);
+  for (const auto& [name, text] : dumps) {
+    ingest.add(text, {name, SourceStatus::kOk, {}}, name, 0);
+  }
+  return std::move(ingest).finish();
 }
 
 std::vector<IrrSource> table1_sources(const std::filesystem::path& directory) {

@@ -95,14 +95,12 @@ class Gauge {
 
 /// Fixed-bucket histogram in the Prometheus style: `bounds` are ascending
 /// inclusive upper bounds (`le`); one implicit overflow bucket absorbs the
-/// tail. Observation is two relaxed RMWs plus a CAS-add on the sum.
+/// tail. Observation is one relaxed RMW plus a CAS-add on the sum.
 class Histogram {
  public:
-  /// A coherent read of every bucket plus count and sum: the reader retries
-  /// (bounded) until the count is stable across the pass and accounts for
-  /// every bucket increment it saw, so derived values (percentiles, means,
-  /// ratios) can never contradict each other the way two independent loads
-  /// at different times can.
+  /// One read of every bucket plus sum. `count` is the sum of the buckets
+  /// read, so it always equals the +Inf bucket (as Prometheus requires) and
+  /// percentiles computed from the snapshot never contradict its count.
   struct Snapshot {
     std::vector<std::uint64_t> buckets;  // bounds.size() + 1 (last = overflow)
     std::uint64_t count = 0;
@@ -123,13 +121,10 @@ class Histogram {
     if (!metrics_on()) return;
     buckets_[bucket_for(v)].fetch_add(1, std::memory_order_relaxed);
     detail::atomic_add_double(sum_, v);
-    // Count last, with release: a snapshot that sees a stable count has seen
-    // every bucket increment belonging to it.
-    count_.fetch_add(1, std::memory_order_release);
   }
 
   Snapshot snapshot() const noexcept;
-  std::uint64_t count() const noexcept { return count_.load(std::memory_order_relaxed); }
+  std::uint64_t count() const noexcept { return snapshot().count; }
   const std::vector<double>& bounds() const noexcept { return bounds_; }
   double percentile(double p) const noexcept { return snapshot().percentile(p, bounds_); }
   void reset() noexcept;
@@ -139,7 +134,6 @@ class Histogram {
 
   std::vector<double> bounds_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;  // bounds_.size() + 1
-  std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0};
 };
 

@@ -33,22 +33,11 @@ std::size_t Histogram::bucket_for(double v) const noexcept {
 Histogram::Snapshot Histogram::snapshot() const noexcept {
   Snapshot snap;
   snap.buckets.resize(bounds_.size() + 1);
-  // Retry until the count is stable across the pass and accounts for every
-  // bucket increment the pass saw; a handful of attempts suffices unless the
-  // histogram is under sustained fire, in which case the final pass is still
-  // a near-coherent view (off by at most the writers in flight).
-  for (int attempt = 0; attempt < 8; ++attempt) {
-    const std::uint64_t before = count_.load(std::memory_order_acquire);
-    std::uint64_t bucket_total = 0;
-    for (std::size_t i = 0; i < snap.buckets.size(); ++i) {
-      snap.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
-      bucket_total += snap.buckets[i];
-    }
-    snap.sum = sum_.load(std::memory_order_relaxed);
-    const std::uint64_t after = count_.load(std::memory_order_acquire);
-    snap.count = after;
-    if (before == after && bucket_total == after) break;
+  for (std::size_t i = 0; i < snap.buckets.size(); ++i) {
+    snap.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
+    snap.count += snap.buckets[i];
   }
+  snap.sum = sum_.load(std::memory_order_relaxed);
   return snap;
 }
 
@@ -56,7 +45,6 @@ void Histogram::reset() noexcept {
   for (std::size_t i = 0; i <= bounds_.size(); ++i) {
     buckets_[i].store(0, std::memory_order_relaxed);
   }
-  count_.store(0, std::memory_order_relaxed);
   sum_.store(0, std::memory_order_relaxed);
 }
 

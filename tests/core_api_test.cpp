@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "rpslyzer/util/failpoint.hpp"
+
 namespace rpslyzer {
 namespace {
 
@@ -56,6 +58,35 @@ TEST(CoreApi, ExportIrShape) {
   EXPECT_EQ(v.at("routes").as_array().size(), 1u);
   // And it reconstructs the identical corpus.
   EXPECT_EQ(ir::ir_from_json(v), lyzer.ir());
+}
+
+TEST(CoreApi, FromTextsQuarantinesOnlyTheBadDump) {
+  // In-memory dumps take the loader's per-source step: the byte guard and
+  // a parse exception quarantine their own dump (zeroed census, nothing
+  // merged) and the rest still load.
+  irr::LoadOptions options;
+  options.max_object_bytes = 64;
+  ASSERT_TRUE(util::failpoint::set("irr.parse", "1*error(boom)"));
+  Rpslyzer lyzer = Rpslyzer::from_texts(
+      {
+          {"THROWS", "aut-num: AS1\n"},
+          {"HUGE", "aut-num: AS2\nremarks: " + std::string(100, 'x') + "\n"},
+          {"GOOD", "aut-num: AS3\n"},
+      },
+      "", options);
+  util::failpoint::clear_all();
+  ASSERT_EQ(lyzer.source_outcomes().size(), 3u);
+  EXPECT_EQ(lyzer.source_outcomes()[0].status, irr::SourceStatus::kQuarantined);
+  EXPECT_EQ(lyzer.source_outcomes()[0].detail, "exception mid-load: irr.parse: boom");
+  EXPECT_EQ(lyzer.source_outcomes()[1].status, irr::SourceStatus::kQuarantined);
+  EXPECT_EQ(lyzer.source_outcomes()[1].detail,
+            "pathological object of 123 bytes (limit 64): HUGE");
+  EXPECT_EQ(lyzer.source_outcomes()[2].status, irr::SourceStatus::kOk);
+  EXPECT_EQ(lyzer.irr_counts()[0].objects, 0u);
+  EXPECT_EQ(lyzer.irr_counts()[1].bytes, 0u);
+  EXPECT_EQ(lyzer.ir().aut_nums.size(), 1u);
+  EXPECT_EQ(lyzer.ir().aut_nums.count(3), 1u);
+  EXPECT_EQ(lyzer.diagnostics().count(util::DiagnosticKind::kOther), 2u);
 }
 
 TEST(CoreApi, EmptyInputs) {

@@ -20,8 +20,9 @@ trap cleanup EXIT
 test -s "$DIR/ir.json"
 "$CLI" lint "$DIR" | grep "findings" >/dev/null || true   # exits 1 when findings exist
 # Parallel sharded ingestion with tracing: the trace must record the
-# per-shard parse spans, proving the load actually went through the pool.
-"$CLI" load "$DIR" --threads 2 --shard-kb 4 --trace-out "$DIR/trace.json" \
+# per-shard parse spans (one per dump at this corpus size), proving the
+# load actually went through the pool.
+"$CLI" load "$DIR" --threads 2 --trace-out "$DIR/trace.json" \
   | grep "loaded" >/dev/null
 grep -q '"irr.shard"' "$DIR/trace.json"
 grep -q '"irr.parse"' "$DIR/trace.json"

@@ -55,9 +55,9 @@ int usage() {
                "usage: rpslyzer [--log-level L] [--log-json] <command> ...\n"
                "  generate <dir> [scale] [seed]   synthesize an IRR+BGP corpus\n"
                "  parse <dir>                     parse dumps and print a census\n"
-               "  load <dir> [--threads N] [--shard-kb N] [--trace-out F]\n"
+               "  load <dir> [--threads N] [--trace-out F]\n"
                "                                  load + index, print per-stage timings\n"
-               "                                  (--threads 1 = serial; default: all cores)\n"
+               "                                  (--threads default: all cores)\n"
                "  lint <dir>                      lint the corpus\n"
                "  export <dir> <out.json>         export the IR as JSON\n"
                "  report <dir> <prefix> <asn...>  verify one route (Appendix-C style)\n"
@@ -207,9 +207,6 @@ int cmd_load(int argc, char** argv) {
     } else if (arg == "--threads") {
       if (i + 1 >= argc) return usage();
       options.threads = static_cast<unsigned>(std::atoi(argv[++i]));
-    } else if (arg == "--shard-kb") {
-      if (i + 1 >= argc) return usage();
-      options.shard_target_bytes = static_cast<std::size_t>(std::atoll(argv[++i])) * 1024;
     } else if (!arg.empty() && arg.front() != '-' && dir.empty()) {
       dir = arg;
     } else {
