@@ -1,22 +1,23 @@
-// perf_delta — gates the incremental rebuild's reason to exist: applying a
-// small churn batch through the delta pipeline must be much faster than the
-// full recompile a server without it would pay per batch.
+// perf_delta — gates the journal's reason to exist: applying a small churn
+// batch through the delta pipeline must be much faster than the full reload
+// a server without journals would pay per batch.
 //
 // Hand-rolled timing (the numbers feed a JSON gate, not a human report).
 // Distinct pre-generated churn batches — each ≤1% of the corpus's objects —
-// are applied in sequence. The incremental side is the pipeline's whole
-// apply (store mutation, materialize, index, dirty closure, incremental
-// compile, publish). The full side is the from-scratch reload path the
-// journal replaces: Rpslyzer::from_texts over the post-batch dump texts
-// plus the eager compiled-snapshot build — exactly the reference the
-// differential-equivalence harness compiles (rendering the texts happens
-// outside the timer: a non-incremental server starts from dump files, it
-// does not pay our store's rendering). ApplyResult::compile_seconds is
-// recorded per batch for visibility into the rebuild stage alone. Emits
-// BENCH_delta.json and fails (non-zero exit) when the aggregate speedup is
-// < 5×; on starved hosts (<4 hardware threads) the ratio is noise, so it
-// is recorded and warned about but not gated (bench_meta.hpp's gate_marker
-// convention).
+// are applied in sequence. The journal side is the pipeline's whole apply:
+// validate, store mutation, materialize, index, CompiledPolicySnapshot::
+// build, publish. It skips re-lexing and re-parsing the untouched objects,
+// which the store keeps parsed; everything downstream of parsing is
+// recomputed. The full side is the from-scratch reload path the journal
+// replaces: Rpslyzer::from_texts over the post-batch dump texts plus the
+// eager compiled-snapshot build — exactly the oracle the differential-
+// equivalence harness compiles (rendering the texts happens outside the
+// timer: a server without journals starts from dump files, it does not
+// pay our store's rendering). ApplyResult::compile_seconds is recorded per
+// batch to show the build's share of the apply. Emits BENCH_delta.json and
+// fails (non-zero exit) when the aggregate speedup is < 5×; on starved
+// hosts (<4 hardware threads) the ratio is noise, so it is recorded and
+// warned about but not gated (bench_meta.hpp's gate_marker convention).
 
 #include <chrono>
 #include <cstdio>
@@ -56,11 +57,11 @@ int main() {
   }
   const std::string relationships = generator.caida_serial1();
 
-  delta::DeltaPipeline incremental(dumps, relationships);
+  delta::DeltaPipeline pipeline(dumps, relationships);
 
   // ≤1% churn per batch (floor 4 ops so tiny scales still mutate enough to
   // dirty something every batch).
-  const std::size_t corpus_objects = incremental.store().object_count();
+  const std::size_t corpus_objects = pipeline.store().object_count();
   synth::ChurnConfig churn_config;
   churn_config.seed = 20260807u;
   churn_config.ops_per_batch =
@@ -69,41 +70,41 @@ int main() {
   std::vector<delta::JournalBatch> batches;
   for (int b = 0; b < kBatches; ++b) batches.push_back(churn.next_batch());
 
-  double incremental_total = 0.0;
+  double apply_total = 0.0;
   double full_total = 0.0;
   json::Array rows;
   for (int b = 0; b < kBatches; ++b) {
     auto start = Clock::now();
-    const delta::ApplyResult inc_result = incremental.apply(batches[b]);
-    const double inc_seconds = seconds_since(start);
-    if (inc_result.refused) {
+    const delta::ApplyResult result = pipeline.apply(batches[b]);
+    const double apply_seconds = seconds_since(start);
+    if (result.refused) {
       std::fprintf(stderr, "perf_delta: batch %d refused: %s\n", b,
-                   inc_result.error.c_str());
+                   result.error.c_str());
       return 1;
     }
 
     // Full-recompile side: parse + index + compile the same post-batch
     // corpus from scratch. Text rendering stays outside the timer.
-    const auto texts = incremental.store().source_texts();
+    const auto texts = pipeline.store().source_texts();
     start = Clock::now();
     Rpslyzer lyzer = Rpslyzer::from_texts(texts, relationships);
     const auto reference = lyzer.snapshot();  // eager compile; keep it alive
     const double full_seconds = seconds_since(start);
 
-    incremental_total += inc_seconds;
+    apply_total += apply_seconds;
     full_total += full_seconds;
     json::Object row;
     row["batch"] = static_cast<std::int64_t>(b);
-    row["ops"] = static_cast<std::int64_t>(inc_result.ops_applied);
-    row["dirty_objects"] = static_cast<std::int64_t>(inc_result.dirty_objects);
-    row["incremental_apply_seconds"] = inc_seconds;
-    row["incremental_compile_seconds"] = inc_result.compile_seconds;
+    row["ops"] = static_cast<std::int64_t>(result.ops_applied);
+    row["dirty_objects"] = static_cast<std::int64_t>(result.dirty_objects);
+    row["apply_seconds"] = apply_seconds;
+    row["compile_seconds"] = result.compile_seconds;
     row["full_reload_seconds"] = full_seconds;
     row["reference_build_id"] = static_cast<std::int64_t>(reference->build_id());
-    row["speedup"] = full_seconds / inc_seconds;
+    row["speedup"] = full_seconds / apply_seconds;
     rows.emplace_back(std::move(row));
   }
-  const double speedup = full_total / incremental_total;
+  const double speedup = full_total / apply_total;
   const bool enforced = bench::hardware_threads() >= 4;
   const bool pass = speedup >= 5.0 || !enforced;
 
@@ -118,9 +119,9 @@ int main() {
       static_cast<double>(corpus_objects);
   doc["batches"] = static_cast<std::int64_t>(kBatches);
   doc["batch_rows"] = rows;
-  doc["incremental_apply_seconds_total"] = incremental_total;
+  doc["apply_seconds_total"] = apply_total;
   doc["full_reload_seconds_total"] = full_total;
-  doc["incremental_speedup_vs_full"] = speedup;
+  doc["apply_speedup_vs_full"] = speedup;
   doc["gate_speedup"] = 5.0;
   doc["gate"] = bench::gate_marker(enforced);
   doc["pass"] = pass;
@@ -133,11 +134,11 @@ int main() {
   }
   std::fputs(text.c_str(), stdout);
   if (!enforced && speedup < 5.0) {
-    std::printf("perf_delta incremental-vs-full: WARN %.2fx < 5x "
+    std::printf("perf_delta apply-vs-full: WARN %.2fx < 5x "
                 "(gate warn-only: %u hardware threads)\n",
                 speedup, bench::hardware_threads());
   } else {
-    std::printf("perf_delta incremental-vs-full: %s (%.2fx)\n",
+    std::printf("perf_delta apply-vs-full: %s (%.2fx)\n",
                 pass ? "PASS" : "FAIL", speedup);
   }
   return pass ? 0 : 1;

@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
 # delta_equiv_check.sh — the delta pipeline's correctness spine, as a soak:
-# apply N seeded churn batches through the incremental pipeline and, after
-# every batch, recompile the same corpus from scratch and require the two
-# snapshots to answer identically (`rpslyzer journal apply --verify-full`
-# probes flattenings, origin/route-set lookups, and full !v verdict reports
-# on both sides, then compares content digests). Any divergence — an
-# under-approximated dirty set, a stale reused table, a missed reverse
-# dependency — fails the batch that introduced it, with the first
-# mismatching probe printed.
+# apply N seeded churn batches through the journal pipeline and, after
+# every batch, load the store's own dump texts from scratch with the batch
+# loader and require the two snapshots to answer identically (`rpslyzer
+# journal apply --verify-full` probes flattenings, origin/route-set
+# lookups, and full !v verdict reports on both sides, then compares content
+# digests). Both sides compile with the same CompiledPolicySnapshot::build,
+# so what the soak proves is that the corpus store and materialize()
+# reproduce the loader: per-source first-wins, priority merging, paragraph
+# rendering, ADD/DEL semantics, and the undo log. Any divergence fails the
+# batch that introduced it, with the first mismatching probe printed.
 #
 #   scripts/delta_equiv_check.sh [<rpslyzer_cli>]
 #
@@ -34,4 +36,4 @@ echo "delta_equiv_check: corpus scale=$SCALE, $BATCHES batches x $OPS ops (seed 
   --batches "$BATCHES" --ops "$OPS" --seed "$SEED" >/dev/null
 "$CLI" journal apply "$DIR/corpus" --journal "$DIR/journal" --verify-full \
   | tail -3
-echo "delta_equiv_check ok: $BATCHES batches byte-identical to full recompiles"
+echo "delta_equiv_check ok: $BATCHES batches byte-identical to from-scratch loads"

@@ -8,9 +8,9 @@
 # delay, and truncate paths are sanitizer-clean too. A stress step then
 # repeats the fault/parallel/repl/delta labels up to 20 times each under
 # full parallelism. Finally, when the toolchain has a working TSan runtime,
-# the relaxed-atomic telemetry hot paths (obs_test), the server loop
-# (server_test), and the loader suites are re-run under ThreadSanitizer in
-# a second side build.
+# the concurrency suites (telemetry and flight recorder, server loop,
+# loaders, snapshot sharing, replication, delta) are re-run under
+# ThreadSanitizer in a second side build, all in parallel on every core.
 # Uses side build directories so the normal build stays fast.
 #
 #   scripts/sanitize_check.sh [build-dir]
@@ -51,10 +51,10 @@ run_labeled "server.send=delay(2ms);server.dispatch=delay(1ms)"
 run_labeled "cache.get=error;cache.put=error" 'Server\.|ResponseCache'
 run_labeled "irr.parse=truncate(65536)"
 
-# 100-batch differential-equivalence soak (incremental apply vs full
-# recompile, byte-compared after every batch) against the sanitized CLI —
-# the delta acceptance bar requires the byte-identity proof to hold under
-# ASan/UBSan, not just in the fast build.
+# 100-batch differential-equivalence soak (journal apply vs a from-scratch
+# load of the store's dump texts, byte-compared after every batch) against
+# the sanitized CLI — the delta acceptance bar requires the byte-identity
+# proof to hold under ASan/UBSan, not just in the fast build.
 "$ROOT/scripts/delta_equiv_check.sh" "$BUILD/tools/rpslyzer"
 
 # Leak + footprint gate: a synthetic load+verify run of the sanitized CLI
@@ -84,39 +84,35 @@ tsan_probe="$(mktemp -d)"
 printf 'int main(){return 0;}\n' > "$tsan_probe/probe.c"
 if cc -fsanitize=thread "$tsan_probe/probe.c" -o "$tsan_probe/probe" 2>/dev/null \
    && "$tsan_probe/probe" 2>/dev/null; then
-  echo "== ThreadSanitizer pass =="
+  echo "== ThreadSanitizer pass (nproc=$(nproc)) =="
+  # Suites under the race detector, each for a reason:
+  #  * obs_test: relaxed-atomic telemetry and the flight recorder's seqlock
+  #    ring under racing writers;
+  #  * server_test: the server loop;
+  #  * parallel_loader_test, fault_injection_test, loader_files_test: the
+  #    loader's phase A reads every dump on a pool while phase B parses and
+  #    merges on the coordinating thread, through quarantine, degrade, and
+  #    counted-failpoint paths;
+  #  * compile_snapshot_test, parallel_verify_test: one immutable snapshot
+  #    shared by every verify worker;
+  #  * persist_test: one mmap'd snapshot shared across the accept loop and
+  #    workers through aliasing shared_ptr ownership;
+  #  * repl_test: an edge agent thread against a live origin event loop;
+  #  * delta_test, delta_fuzz_test: apply (store mutation + build) racing
+  #    publish and readers of current(), and the reclaimer thread tearing
+  #    retired generations down;
+  #  * arena_interner_test: the interner's lock-free read path.
+  tsan_suites=(obs_test server_test parallel_loader_test fault_injection_test
+    loader_files_test compile_snapshot_test parallel_verify_test persist_test
+    repl_test delta_test delta_fuzz_test arena_interner_test)
   cmake -B "$TSAN_BUILD" -S "$ROOT" -DRPSLYZER_SANITIZE_THREAD=ON >/dev/null
-  cmake --build "$TSAN_BUILD" -j --target obs_test server_test parallel_loader_test \
-    fault_injection_test loader_files_test compile_snapshot_test parallel_verify_test \
-    persist_test repl_test delta_test delta_fuzz_test arena_interner_test
-  "$TSAN_BUILD/tests/obs_test"
-  "$TSAN_BUILD/tests/server_test"
-  "$TSAN_BUILD/tests/parallel_loader_test"
-  # The loader's phase A reads every dump on a pool while phase B parses
-  # and merges on the coordinating thread; these suites drive that handoff
-  # through quarantine, degrade, and counted-failpoint paths.
-  "$TSAN_BUILD/tests/fault_injection_test"
-  "$TSAN_BUILD/tests/loader_files_test"
-  "$TSAN_BUILD/tests/compile_snapshot_test"
-  "$TSAN_BUILD/tests/parallel_verify_test"
-  # The server-reload persist tests share one mmap'd snapshot across the
-  # accept loop and worker threads — the aliasing shared_ptr ownership is
-  # the racy-by-construction surface TSan should sign off on.
-  "$TSAN_BUILD/tests/persist_test"
-  # The replication suite runs an edge agent thread against a live origin
-  # event loop: condvar wakeups, atomic status counters, and the activation
-  # callback crossing threads are all under the race detector here.
-  "$TSAN_BUILD/tests/repl_test"
-  # The delta pipeline splits its state behind two mutexes (apply vs
-  # publish/stats) and shares immutable previous-generation tables into the
-  # next snapshot; the differential suite recompiles under that sharing on
-  # every batch, so a TSan pass here signs off the reuse scheme.
-  "$TSAN_BUILD/tests/delta_test"
-  "$TSAN_BUILD/tests/delta_fuzz_test"
-  # The interner's lock-free read path (acquire cell loads against the
-  # locked insert's release publication) is precisely the kind of
-  # annotation-free synchronization TSan exists to audit.
-  "$TSAN_BUILD/tests/arena_interner_test"
+  cmake --build "$TSAN_BUILD" -j --target "${tsan_suites[@]}"
+  # Every suite in parallel on all cores: races show when the suites
+  # compete for the CPUs. Only the suites above are built in this tree; the
+  # rest register as placeholder <suite>_NOT_BUILT tests, and cli_smoke
+  # needs the CLI and loadgen, which this tree does not build either.
+  (cd "$TSAN_BUILD" && ctest -j"$(nproc)" -E '_NOT_BUILT$|^cli_smoke$' \
+     --output-on-failure)
 else
   echo "== ThreadSanitizer unavailable on this toolchain; skipping TSan pass =="
 fi

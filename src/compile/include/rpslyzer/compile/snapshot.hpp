@@ -21,6 +21,9 @@
 //  * AS-path regexes pre-lowered to the src/aspath predicate NFA;
 //  * customer cones and the §5.1.2 only-provider bit computed per aut-num.
 //
+// build() is the only compile path: the initial load, every reload and
+// every delta journal batch lower the whole corpus from scratch (the
+// persistence codec restores a written snapshot without recompiling).
 // Everything is const after build(); a shared_ptr<const
 // CompiledPolicySnapshot> is safely shared across any number of threads
 // with no prewarm dance. The behaviour contract — enforced by
@@ -30,7 +33,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <set>
 #include <span>
 #include <string>
 #include <string_view>
@@ -112,52 +114,6 @@ struct CompiledAutNum {
   bool only_provider = false;              // §5.1.2 only-provider-policies bit
 };
 
-/// What an incremental rebuild must recompile: the transitive closure of
-/// everything whose compiled form can differ from the previous generation
-/// after a journal batch. Computed by the delta pipeline (src/delta) from
-/// the merged-object diff; anything NOT listed here is reused verbatim from
-/// the previous snapshot, so an under-approximated dirty set is a
-/// correctness bug (the differential-equivalence harness exists to catch
-/// exactly that).
-struct DirtySet {
-  /// Conservative fallback: ignore every other field and rebuild from
-  /// scratch (used by the `delta.dirty` failpoint and any change the dirty
-  /// analysis cannot bound).
-  bool everything = false;
-  /// The (prefix, origin) route key set changed: the origin trie is patched
-  /// for `origins_changed` instead of copied wholesale.
-  bool routes_changed = false;
-  /// Closed under reverse membership edges: a dirty as-set dirties every
-  /// set that references it.
-  std::set<std::string, util::ILess> as_sets;
-  /// Closed under reverse route-set references, including kAsn members of
-  /// origin-changed ASes and kAsSet members of dirty as-sets.
-  std::set<std::string, util::ILess> route_sets;
-  std::set<std::string, util::ILess> filter_sets;
-  /// aut-num objects whose merged form changed (their NFA tables cannot be
-  /// paired with the previous generation's).
-  std::set<ir::Asn> aut_nums;
-  /// ASes whose route-object prefix set changed; sorted unique.
-  std::vector<ir::Asn> origins_changed;
-
-  std::size_t size() const noexcept {
-    return as_sets.size() + route_sets.size() + filter_sets.size() + aut_nums.size() +
-           origins_changed.size() + (routes_changed ? 1 : 0);
-  }
-};
-
-/// What build_incremental() actually reused vs recompiled — surfaced
-/// through `!stats`, rpslyzer_delta_* metrics, and the perf_delta gate.
-struct IncrementalStats {
-  bool full_rebuild = false;       // DirtySet::everything (or no previous)
-  std::size_t as_sets_seeded = 0;  // flatten memo entries copied forward
-  std::size_t route_sets_reused = 0;
-  std::size_t route_sets_recompiled = 0;
-  std::size_t regexes_reused = 0;      // NFA tables rehydrated from previous
-  std::size_t regexes_recompiled = 0;  // Thompson constructions run
-  std::size_t cones_reused = 0;
-};
-
 /// Does `asn` only specify rules for its providers (§5.1.2)? The canonical
 /// definition shared by the snapshot build and the interpreted Verifier so
 /// the two paths cannot drift: a transit AS (nonempty customer set) with an
@@ -177,22 +133,6 @@ class CompiledPolicySnapshot : public aspath::AsSetMembership {
       std::shared_ptr<const irr::Index> index,
       std::shared_ptr<const relations::AsRelations> relations);
 
-  /// Incremental rebuild after a journal batch: recompiles only what
-  /// `dirty` names and reuses everything else from `previous` — clean
-  /// as-set flattenings are seeded into the new index's memo (so prewarm
-  /// only walks the dirty subgraph), clean route-set tries and origin-trie
-  /// entries are copied forward, customer cones are carried over whenever
-  /// `relations` is the same object, and clean aut-nums' AS-path NFAs are
-  /// rehydrated from the previous tables instead of re-running Thompson
-  /// construction. The result must be observably byte-identical to
-  /// build(index, relations) — the delta differential harness enforces
-  /// this after every batch. dirty.everything falls back to build().
-  static std::shared_ptr<const CompiledPolicySnapshot> build_incremental(
-      std::shared_ptr<const irr::Index> index,
-      std::shared_ptr<const relations::AsRelations> relations,
-      const CompiledPolicySnapshot& previous, const DirtySet& dirty,
-      IncrementalStats* stats = nullptr);
-
   const irr::Index& index() const noexcept { return *index_; }
   const relations::AsRelations& relations() const noexcept { return *relations_; }
 
@@ -202,6 +142,8 @@ class CompiledPolicySnapshot : public aspath::AsSetMembership {
   std::size_t interned_symbols() const noexcept { return symbols_.size(); }
   /// Allocated nodes across the origin trie and every route-set trie.
   std::size_t trie_nodes() const noexcept { return trie_nodes_; }
+  /// AS-path regexes lowered to an NFA (aut-num rules and filter-sets).
+  std::size_t compiled_regexes() const noexcept { return regexes_.size(); }
   /// Where this snapshot came from: "memory" for in-process builds,
   /// "file:<path>" / "cache:<key>" when restored from an arena file by the
   /// persistence layer. Surfaced through the server's `!stats`.
@@ -259,16 +201,10 @@ class CompiledPolicySnapshot : public aspath::AsSetMembership {
 
   SymbolId intern(std::string_view name);
   std::optional<SymbolId> symbol(std::string_view name) const;
-  // The build phases take an optional previous generation + dirty set; with
-  // both null they are the from-scratch build() path, otherwise clean
-  // structures are copied forward instead of recomputed.
   void build_as_sets();
-  void build_origin_trie(const CompiledPolicySnapshot* previous = nullptr,
-                         const DirtySet* dirty = nullptr);
-  void build_route_sets(const CompiledPolicySnapshot* previous = nullptr,
-                        const DirtySet* dirty = nullptr, IncrementalStats* stats = nullptr);
-  void build_aut_nums(const CompiledPolicySnapshot* previous = nullptr,
-                      const DirtySet* dirty = nullptr, IncrementalStats* stats = nullptr);
+  void build_origin_trie();
+  void build_route_sets();
+  void build_aut_nums();
   void compile_filter(const ir::Filter& filter);
   CompiledRule compile_rule(const ir::Rule& rule) const;
 
@@ -282,9 +218,6 @@ class CompiledPolicySnapshot : public aspath::AsSetMembership {
   // class, first-seen spelling kept, ids dense from 0 in intern order) —
   // the same id assignment the old IHash-keyed map + name vector produced,
   // so the persisted symbol-section layout (id = position) is unchanged.
-  // Reused capacity (not content) carries across build_incremental
-  // generations via reserve(); content must be re-interned per generation
-  // or deleted names would linger in the persisted symbols section.
   util::SymbolTable symbols_{util::SymbolTable::Mode::kCaseFold};
 
   std::unordered_map<SymbolId, CompiledAsSet> as_sets_;

@@ -65,18 +65,13 @@ bool collect_peering_asns(const ir::Entry& entry, std::vector<ir::Asn>& out) {
       entry.node);
 }
 
-}  // namespace
-
-namespace detail {
-
-// Shared by build() and build_incremental() (incremental.cpp): one
-// monotone process-wide id sequence for in-process snapshot builds.
+/// One monotone process-wide id sequence for in-process snapshot builds.
 std::uint64_t allocate_build_id() {
   static std::atomic<std::uint64_t> next_build_id{0};
   return next_build_id.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
-}  // namespace detail
+}  // namespace
 
 bool only_provider_policies(const irr::Index& index,
                             const relations::AsRelations& relations, ir::Asn asn) {
@@ -120,7 +115,7 @@ std::shared_ptr<const CompiledPolicySnapshot> CompiledPolicySnapshot::build(
   std::shared_ptr<CompiledPolicySnapshot> snap(new CompiledPolicySnapshot());
   snap->index_ = std::move(index);
   snap->relations_ = std::move(relations);
-  snap->build_id_ = detail::allocate_build_id();
+  snap->build_id_ = allocate_build_id();
 
   snap->build_as_sets();
   snap->build_origin_trie();
@@ -184,41 +179,14 @@ void CompiledPolicySnapshot::build_as_sets() {
   }
 }
 
-void CompiledPolicySnapshot::build_origin_trie(const CompiledPolicySnapshot* previous,
-                                               const DirtySet* dirty) {
+void CompiledPolicySnapshot::build_origin_trie() {
   // PrefixTrie::insert overwrites, so accumulate per-prefix origin lists
   // first and insert each base exactly once.
   std::map<Prefix, std::vector<ir::Asn>> acc;
-  if (previous != nullptr && dirty != nullptr) {
-    // Incremental: start from the previous generation's trie (its lists are
-    // already sorted unique) and patch only the origin-changed ASes —
-    // remove their old prefixes, insert their new ones. Every untouched
-    // (prefix, origins) entry is carried over verbatim.
-    previous->origins_.for_each([&](const Prefix& base, std::span<const ir::Asn> origins) {
-      acc.emplace(base, std::vector<ir::Asn>(origins.begin(), origins.end()));
-    });
-    if (dirty->routes_changed) {
-      for (ir::Asn asn : dirty->origins_changed) {
-        for (const Prefix& base : previous->index_->origins_of(asn)) {
-          auto it = acc.find(base);
-          if (it == acc.end()) continue;
-          auto pos = std::lower_bound(it->second.begin(), it->second.end(), asn);
-          if (pos != it->second.end() && *pos == asn) it->second.erase(pos);
-          if (it->second.empty()) acc.erase(it);
-        }
-        for (const Prefix& base : index_->origins_of(asn)) {
-          auto& origins = acc[base];
-          auto pos = std::lower_bound(origins.begin(), origins.end(), asn);
-          if (pos == origins.end() || *pos != asn) origins.insert(pos, asn);
-        }
-      }
-    }
-  } else {
-    for (const ir::RouteObject& r : index_->ir().routes) acc[r.prefix].push_back(r.origin);
-    for (auto& [prefix, origins] : acc) {
-      std::sort(origins.begin(), origins.end());
-      origins.erase(std::unique(origins.begin(), origins.end()), origins.end());
-    }
+  for (const ir::RouteObject& r : index_->ir().routes) acc[r.prefix].push_back(r.origin);
+  for (auto& [prefix, origins] : acc) {
+    std::sort(origins.begin(), origins.end());
+    origins.erase(std::unique(origins.begin(), origins.end()), origins.end());
   }
   std::size_t total = 0;
   for (const auto& [prefix, origins] : acc) total += origins.size();
@@ -254,9 +222,7 @@ void add_base(BaseAccumulator& acc, const Prefix& base, const RangeOp& own,
 
 }  // namespace
 
-void CompiledPolicySnapshot::build_route_sets(const CompiledPolicySnapshot* previous,
-                                              const DirtySet* dirty,
-                                              IncrementalStats* stats) {
+void CompiledPolicySnapshot::build_route_sets() {
   const ir::Ir& ir = index_->ir();
 
   // member-of reverse map for route objects (the Index keeps its own copy
@@ -360,40 +326,17 @@ void CompiledPolicySnapshot::build_route_sets(const CompiledPolicySnapshot* prev
   for (const auto& [name, set] : ir.route_sets) {
     CompiledRouteSet compiled;
     BaseAccumulator acc;
-    // Incremental: a clean route-set's expansion cannot have changed, so
-    // its staged form is reconstructed from the previous generation's trie
-    // (already sorted unique) instead of re-running the expander.
-    const CompiledRouteSet* reusable = nullptr;
-    if (previous != nullptr && dirty != nullptr && !dirty->route_sets.contains(name)) {
-      if (const std::optional<SymbolId> id = previous->symbol(name)) {
-        auto it = previous->route_sets_.find(*id);
-        if (it != previous->route_sets_.end()) reusable = &it->second;
-      }
-    }
-    if (reusable != nullptr) {
-      compiled.any = reusable->any;
-      compiled.unknown = reusable->unknown;
-      reusable->bases.for_each(
-          [&](const Prefix& base, std::span<const LengthInterval> intervals) {
-            acc.emplace(base,
-                        std::vector<LengthInterval>(intervals.begin(), intervals.end()));
-          });
-      for (const auto& [base, intervals] : acc) total += intervals.size();
-      if (stats != nullptr) ++stats->route_sets_reused;
-    } else {
-      std::unordered_set<ir::Symbol> visiting;
-      visiting.insert(ir::symbols().canon(set.name));
-      std::vector<RangeOp> chain;
-      expander.expand(set, chain, compiled, acc, visiting);
-      for (auto& [base, intervals] : acc) {
-        std::sort(intervals.begin(), intervals.end(),
-                  [](const LengthInterval& a, const LengthInterval& b) {
-                    return a.lo != b.lo ? a.lo < b.lo : a.hi < b.hi;
-                  });
-        intervals.erase(std::unique(intervals.begin(), intervals.end()), intervals.end());
-        total += intervals.size();
-      }
-      if (stats != nullptr) ++stats->route_sets_recompiled;
+    std::unordered_set<ir::Symbol> visiting;
+    visiting.insert(ir::symbols().canon(set.name));
+    std::vector<RangeOp> chain;
+    expander.expand(set, chain, compiled, acc, visiting);
+    for (auto& [base, intervals] : acc) {
+      std::sort(intervals.begin(), intervals.end(),
+                [](const LengthInterval& a, const LengthInterval& b) {
+                  return a.lo != b.lo ? a.lo < b.lo : a.hi < b.hi;
+                });
+      intervals.erase(std::unique(intervals.begin(), intervals.end()), intervals.end());
+      total += intervals.size();
     }
     staged.emplace_back(std::move(compiled), std::move(acc));
   }
@@ -454,44 +397,6 @@ void for_each_filter(const ir::Entry& entry, Fn&& fn) {
              entry.node);
 }
 
-/// Collect every FilterAsPath in `filter`, in the exact traversal order
-/// compile_filter uses. Two parses of identical policy text yield
-/// identical sequences, which is what lets the incremental build pair a
-/// clean aut-num's filters with the previous generation's positionally.
-void collect_as_paths(const ir::Filter& filter, std::vector<const ir::FilterAsPath*>& out) {
-  std::visit(util::overloaded{
-                 [&](const ir::FilterAsPath& f) { out.push_back(&f); },
-                 [&](const ir::FilterAnd& f) {
-                   collect_as_paths(*f.left, out);
-                   collect_as_paths(*f.right, out);
-                 },
-                 [&](const ir::FilterOr& f) {
-                   collect_as_paths(*f.left, out);
-                   collect_as_paths(*f.right, out);
-                 },
-                 [&](const ir::FilterNot& f) { collect_as_paths(*f.inner, out); },
-                 [&](const auto&) {},
-             },
-             filter.node);
-}
-
-std::vector<const ir::FilterAsPath*> collect_as_paths(const ir::AutNum& an) {
-  std::vector<const ir::FilterAsPath*> out;
-  for (const auto* rules : {&an.imports, &an.exports}) {
-    for (const ir::Rule& rule : *rules) {
-      for_each_filter(rule.entry, [&](const ir::Filter& f) { collect_as_paths(f, out); });
-    }
-  }
-  return out;
-}
-
-std::vector<const ir::FilterAsPath*> collect_as_paths(const ir::FilterSet& set) {
-  std::vector<const ir::FilterAsPath*> out;
-  if (set.has_filter) collect_as_paths(set.filter, out);
-  if (set.has_mp_filter) collect_as_paths(set.mp_filter, out);
-  return out;
-}
-
 }  // namespace
 
 CompiledRule CompiledPolicySnapshot::compile_rule(const ir::Rule& rule) const {
@@ -525,62 +430,14 @@ CompiledRule CompiledPolicySnapshot::compile_rule(const ir::Rule& rule) const {
   return out;
 }
 
-void CompiledPolicySnapshot::build_aut_nums(const CompiledPolicySnapshot* previous,
-                                            const DirtySet* dirty,
-                                            IncrementalStats* stats) {
-  // Incremental: rehydrate clean objects' AS-path NFAs from the previous
-  // generation's flat tables (image() -> CompiledRegex skips Thompson
-  // construction) before the compile loop runs; compile_filter's
-  // regexes_.contains() check then skips recompilation. Pairing is
-  // positional over the deterministic filter walk, guarded by a merged-
-  // object equality re-check so a missed dirty entry degrades to a
-  // recompile, never to a stale automaton.
-  if (previous != nullptr && dirty != nullptr) {
-    auto seed_pairs = [&](const std::vector<const ir::FilterAsPath*>& olds,
-                          const std::vector<const ir::FilterAsPath*>& news) {
-      if (olds.size() != news.size()) return;
-      for (std::size_t i = 0; i < news.size(); ++i) {
-        if (regexes_.contains(news[i])) continue;
-        auto it = previous->regexes_.find(olds[i]);
-        if (it == previous->regexes_.end() || !it->second.regex.supported()) continue;
-        regexes_.emplace(news[i],
-                         CompiledAsPath{aspath::CompiledRegex(it->second.regex.image()),
-                                        it->second.skipped});
-        if (stats != nullptr) ++stats->regexes_reused;
-      }
-    };
-    for (const auto& [asn, an] : index_->ir().aut_nums) {
-      if (dirty->aut_nums.contains(asn)) continue;
-      const ir::AutNum* prev_an = previous->index_->aut_num(asn);
-      if (prev_an == nullptr || !(*prev_an == an)) continue;
-      seed_pairs(collect_as_paths(*prev_an), collect_as_paths(an));
-    }
-    for (const auto& [name, set] : index_->ir().filter_sets) {
-      if (dirty->filter_sets.contains(name)) continue;
-      const ir::FilterSet* prev_fs = previous->index_->filter_set(name);
-      if (prev_fs == nullptr || !(*prev_fs == set)) continue;
-      seed_pairs(collect_as_paths(*prev_fs), collect_as_paths(set));
-    }
-  }
-
+void CompiledPolicySnapshot::build_aut_nums() {
   // Materialize every cone first so the pool reserves exactly once (spans
-  // into a growing vector would dangle). Cones depend only on the relation
-  // graph, so when the incremental build shares the previous generation's
-  // AsRelations the previous cone span is copied instead of re-deriving.
-  const bool reuse_cones =
-      previous != nullptr && previous->relations_.get() == relations_.get();
+  // into a growing vector would dangle).
   std::vector<std::vector<ir::Asn>> cones;
   cones.reserve(index_->ir().aut_nums.size());
   std::size_t total = 0;
   for (const auto& [asn, an] : index_->ir().aut_nums) {
-    const CompiledAutNum* prev_can =
-        reuse_cones ? previous->compiled_aut_num(asn) : nullptr;
-    if (prev_can != nullptr) {
-      cones.emplace_back(prev_can->customer_cone.begin(), prev_can->customer_cone.end());
-      if (stats != nullptr) ++stats->cones_reused;
-    } else {
-      cones.push_back(relations_->customer_cone(asn));
-    }
+    cones.push_back(relations_->customer_cone(asn));
     total += cones.back().size();
   }
   cone_pool_.reserve(total);
@@ -611,9 +468,6 @@ void CompiledPolicySnapshot::build_aut_nums(const CompiledPolicySnapshot* previo
   for (const auto& [name, set] : index_->ir().filter_sets) {
     if (set.has_filter) compile_filter(set.filter);
     if (set.has_mp_filter) compile_filter(set.mp_filter);
-  }
-  if (stats != nullptr) {
-    stats->regexes_recompiled = regexes_.size() - stats->regexes_reused;
   }
 }
 

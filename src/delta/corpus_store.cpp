@@ -1,5 +1,6 @@
 #include "rpslyzer/delta/corpus_store.hpp"
 
+#include <set>
 #include <variant>
 
 #include "rpslyzer/irr/loader.hpp"
@@ -284,62 +285,21 @@ void CorpusStore::revert(UndoLog&& undo) {
   undo.clear();
 }
 
-const ir::AutNum* CorpusStore::merged_aut_num(ir::Asn asn) const {
-  for (const SourceState& src : sources_) {
-    if (const auto it = src.aut_nums.find(asn); it != src.aut_nums.end()) {
-      return &it->second;
-    }
+std::size_t CorpusStore::changed_identities(const UndoLog& undo) const {
+  // The first undo entry per (source, identity) holds its pre-batch text.
+  std::vector<std::set<std::string_view, util::ILess>> seen(sources_.size());
+  std::set<std::string_view, util::ILess> changed;
+  for (const UndoEntry& entry : undo) {
+    if (!seen[entry.source_index].insert(entry.identity).second) continue;
+    const ir::NameMap<std::string>& texts = sources_[entry.source_index].texts;
+    const auto it = texts.find(entry.identity);
+    const std::string* now = it == texts.end() ? nullptr : &it->second;
+    const bool same = entry.old_text.has_value()
+                          ? now != nullptr && *now == *entry.old_text
+                          : now == nullptr;
+    if (!same) changed.insert(entry.identity);
   }
-  return nullptr;
-}
-
-const ir::AsSet* CorpusStore::merged_as_set(std::string_view name) const {
-  for (const SourceState& src : sources_) {
-    if (const auto it = src.as_sets.find(std::string(name)); it != src.as_sets.end()) {
-      return &it->second;
-    }
-  }
-  return nullptr;
-}
-
-const ir::RouteSet* CorpusStore::merged_route_set(std::string_view name) const {
-  for (const SourceState& src : sources_) {
-    if (const auto it = src.route_sets.find(std::string(name));
-        it != src.route_sets.end()) {
-      return &it->second;
-    }
-  }
-  return nullptr;
-}
-
-const ir::PeeringSet* CorpusStore::merged_peering_set(std::string_view name) const {
-  for (const SourceState& src : sources_) {
-    if (const auto it = src.peering_sets.find(std::string(name));
-        it != src.peering_sets.end()) {
-      return &it->second;
-    }
-  }
-  return nullptr;
-}
-
-const ir::FilterSet* CorpusStore::merged_filter_set(std::string_view name) const {
-  for (const SourceState& src : sources_) {
-    if (const auto it = src.filter_sets.find(std::string(name));
-        it != src.filter_sets.end()) {
-      return &it->second;
-    }
-  }
-  return nullptr;
-}
-
-const ir::RouteObject* CorpusStore::merged_route(
-    const std::pair<net::Prefix, ir::Asn>& key) const {
-  for (const SourceState& src : sources_) {
-    if (const auto it = src.routes.find(key); it != src.routes.end()) {
-      return &it->second;
-    }
-  }
-  return nullptr;
+  return changed.size();
 }
 
 ir::Ir CorpusStore::materialize() const {

@@ -10,12 +10,12 @@
 // lives under a canonical *identity* ("aut-num:AS64500",
 // "route:192.0.2.0/24:AS64500", ...) alongside its canonical paragraph
 // rendering; within a source there is exactly one object per identity
-// (first-wins on initial load, upsert on ADD), and merged_* lookups resolve
+// (first-wins on initial load, upsert on ADD), and materialize() resolves
 // across sources in priority order exactly like irr::merge_into.
 //
 // Mutation is two-phase: prepare() validates a whole batch without touching
 // anything; apply() mutates and returns an UndoLog that revert() replays
-// backwards, so a failure *after* apply (dirty-set computation, compile)
+// backwards, so a failure *after* apply (materialize, index, compile)
 // rolls the store back and the batch refuses atomically.
 
 #include <cstdint>
@@ -32,7 +32,7 @@
 
 namespace rpslyzer::delta {
 
-/// Class of a stored object, for dirty-set bookkeeping. kOther covers
+/// Class of a stored object, selecting its typed table. kOther covers
 /// classes the IR does not model (person, mntner, ...): they live in the
 /// text store only and never affect compiled semantics.
 enum class ObjectClass : std::uint8_t {
@@ -94,13 +94,11 @@ class CorpusStore {
   UndoLog apply(const std::vector<PreparedOp>& ops);
   void revert(UndoLog&& undo);
 
-  // --- merged (priority-resolved) object views ---
-  const ir::AutNum* merged_aut_num(ir::Asn asn) const;
-  const ir::AsSet* merged_as_set(std::string_view name) const;
-  const ir::RouteSet* merged_route_set(std::string_view name) const;
-  const ir::PeeringSet* merged_peering_set(std::string_view name) const;
-  const ir::FilterSet* merged_filter_set(std::string_view name) const;
-  const ir::RouteObject* merged_route(const std::pair<net::Prefix, ir::Asn>& key) const;
+  /// Distinct identities whose stored paragraph, in some source, differs
+  /// now from its state before the apply() that returned `undo`: added,
+  /// replaced with different text, or deleted. An ADD that restores the
+  /// identical text, or a DEL of an absent identity, counts 0.
+  std::size_t changed_identities(const UndoLog& undo) const;
 
   /// Merge every source into one Ir with irr::merge_into semantics. Equals
   /// what irr loading of source_texts() produces, up to route vector order

@@ -2,14 +2,15 @@
 // Differential-equivalence engine: prove two compiled snapshots of the same
 // corpus byte-identical on every observable surface.
 //
-// The incremental rebuild's correctness contract is byte equality with a
-// from-scratch compile — not "semantically close". This module derives a
-// deterministic probe set from the corpus itself (every as-set/route-set's
-// member and prefix expansions, every aut-num's origin queries and rule
-// summary, Appendix-C verification reports over sampled routes), evaluates
-// it against both snapshots, and compares responses byte for byte. The
-// probe count adapts to corpus size up to per-class caps; an FNV-1a digest
-// over all responses gives soak scripts a one-number comparison surface.
+// The delta pipeline's correctness contract is byte equality with a
+// from-scratch load of the same corpus — not "semantically close". This
+// module derives a deterministic probe set from the corpus itself (every
+// as-set/route-set's member and prefix expansions, every aut-num's origin
+// queries and rule summary, Appendix-C verification reports over sampled
+// routes), evaluates it against both snapshots, and compares responses
+// byte for byte. The probe count adapts to corpus size up to per-class
+// caps; an FNV-1a digest over all responses gives soak scripts a
+// one-number comparison surface.
 
 #include <cstdint>
 #include <memory>

@@ -1,21 +1,17 @@
 #pragma once
-// The incremental delta pipeline: journal batches in, atomically published
+// The delta pipeline: journal batches in, atomically published
 // compiled-snapshot generations out.
 //
-// Per batch the pipeline (1) validates and applies the ops to the
-// CorpusStore under an undo log, (2) diffs the merged view of every touched
-// identity before/after to seed the dirty set, (3) closes the seeds over
-// the dependency edges the compiler consumes — as-set member graphs
-// (including member-of), route-set member references (set, as-set, ASN),
-// and origin changes against the previous generation's flattenings — and
-// (4) runs CompiledPolicySnapshot::build_incremental, reusing every
-// untouched table from the previous generation. Publish is atomic: the new
-// generation becomes visible only after the compile succeeds; any failure
-// rolls the store back and the last-good generation keeps serving.
+// Per batch the pipeline (1) validates the ops, (2) applies them to the
+// CorpusStore under an undo log, (3) materializes the merged ir::Ir and
+// indexes it, and (4) compiles it with CompiledPolicySnapshot::build — the
+// same from-scratch compile every other load path uses. Publish is atomic:
+// the new generation becomes visible only after the compile succeeds; any
+// failure rolls the store back and the last-good generation keeps serving.
 //
 // Failpoints: "delta.apply" (error refuses the batch before any mutation),
-// "delta.dirty" (error degrades the dirty set to everything — a full,
-// still-correct rebuild). Metrics: the rpslyzer_delta_* family (DESIGN.md).
+// plus "compile.build" inside the compile (error refuses the batch after
+// the store rolls back). Metrics: the rpslyzer_delta_* family (DESIGN.md).
 
 #include <condition_variable>
 #include <cstdint>
@@ -33,6 +29,17 @@
 
 namespace rpslyzer::delta {
 
+/// Compile accounting for one generation. Every generation is a full
+/// CompiledPolicySnapshot::build, so nothing is reused from the previous
+/// one: the reuse counts are always 0.
+struct CompileStats {
+  bool full_rebuild = true;
+  std::size_t route_sets_reused = 0;
+  std::size_t regexes_reused = 0;
+  std::size_t route_sets_recompiled = 0;  // every route-set in the corpus
+  std::size_t regexes_recompiled = 0;     // every AS-path regex lowered
+};
+
 /// One published generation. Members are declared in dependency order (the
 /// index references the ir, the snapshot holds the index), so destruction
 /// tears down in the reverse, safe order.
@@ -42,8 +49,8 @@ struct Generation {
   std::shared_ptr<const compile::CompiledPolicySnapshot> snapshot;
   std::uint64_t serial = 0;        // last applied journal serial (0 initially)
   std::uint64_t number = 1;        // generation counter; 1 = initial build
-  compile::IncrementalStats stats; // incremental reuse accounting
-  std::size_t dirty_objects = 0;   // dirty-set size that produced this gen
+  CompileStats stats;
+  std::size_t dirty_objects = 0;   // stored objects the batch changed
 };
 
 struct ApplyResult {
@@ -52,29 +59,21 @@ struct ApplyResult {
   std::string error;      // refusal / failure detail
   std::size_t ops_applied = 0;
   std::size_t ops_skipped = 0;  // serial <= already applied (replay)
+  /// Distinct identities whose stored paragraph the batch added, replaced
+  /// with different text, or deleted (CorpusStore::changed_identities).
   std::size_t dirty_objects = 0;
-  /// The rebuild portion of the apply: dirty-set closure + snapshot
-  /// (re)compile. Excludes the corpus materialize/index cost every apply
-  /// pays identically — this is the number the incremental path improves,
-  /// and what bench/perf_delta.cpp gates on.
+  /// The CompiledPolicySnapshot::build portion of the apply. Excludes the
+  /// store mutation and the corpus materialize/index cost.
   double compile_seconds = 0.0;
-};
-
-struct PipelineOptions {
-  /// Force from-scratch compiles for every batch (the differential
-  /// harness uses this as the reference side).
-  bool always_full = false;
 };
 
 class DeltaPipeline {
  public:
-  using Options = PipelineOptions;
-
   /// Builds the initial generation from dump texts (priority order) and a
   /// CAIDA serial-1 relationships text. Throws on an unusable relationships
   /// text; dump diagnostics are tolerated like the batch loader's.
   DeltaPipeline(std::vector<std::pair<std::string, std::string>> dumps,
-                std::string_view relationships_serial1, Options options = {});
+                std::string_view relationships_serial1);
   /// Drains and joins the background reclaimer.
   ~DeltaPipeline();
 
@@ -92,8 +91,8 @@ class DeltaPipeline {
 
   std::uint64_t applied_serial() const;
 
-  /// One-line status for !stats: serial, generation, counters, last dirty
-  /// set size and reuse accounting.
+  /// One-line status for !stats: serial, generation, counters and the last
+  /// batch's changed-object count.
   std::string stats_line() const;
 
   const CorpusStore& store() const noexcept { return store_; }
@@ -103,8 +102,8 @@ class DeltaPipeline {
   void publish(std::shared_ptr<const Generation> generation);
   /// Queue a no-longer-current generation for teardown on the reclaimer
   /// thread. Freeing a full corpus of maps and pools costs milliseconds —
-  /// comparable to the incremental rebuild itself — so it must not ride on
-  /// the apply path (or on a reader dropping the last reference late).
+  /// comparable to the compile itself — so it must not ride on the apply
+  /// path (or on a reader dropping the last reference late).
   void retire(std::shared_ptr<const Generation> generation);
   void reclaim_loop();
 
@@ -113,7 +112,6 @@ class DeltaPipeline {
   CorpusStore store_;               // mutated only under apply_mutex_
   std::shared_ptr<const relations::AsRelations> relations_;
   std::shared_ptr<const Generation> current_;
-  Options options_;
 
   std::uint64_t batches_applied_ = 0;
   std::uint64_t batches_refused_ = 0;

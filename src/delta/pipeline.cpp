@@ -1,10 +1,7 @@
 #include "rpslyzer/delta/pipeline.hpp"
 
 #include <chrono>
-#include <map>
-#include <set>
 #include <stdexcept>
-#include <variant>
 
 #include "rpslyzer/irr/index.hpp"
 #include "rpslyzer/obs/metrics.hpp"
@@ -23,7 +20,6 @@ struct Metrics {
   obs::Counter& ops_applied;
   obs::Counter& ops_skipped;
   obs::Gauge& dirty_objects;
-  obs::Gauge& reused_sets;
   obs::Gauge& journal_serial;
   obs::Histogram& apply_seconds;
 };
@@ -40,9 +36,7 @@ Metrics& metrics() {
       registry.counter("rpslyzer_delta_ops_skipped_total",
                        "Journal operations skipped as idempotent serial replay"),
       registry.gauge("rpslyzer_delta_dirty_objects",
-                     "Dirty-set size of the last applied batch"),
-      registry.gauge("rpslyzer_delta_reused_sets",
-                     "Set tables reused from the previous generation by the last apply"),
+                     "Stored objects the last applied batch added, changed or deleted"),
       registry.gauge("rpslyzer_delta_journal_serial",
                      "Last applied journal serial"),
       registry.histogram("rpslyzer_delta_apply_seconds",
@@ -52,147 +46,17 @@ Metrics& metrics() {
   return m;
 }
 
-/// Identity of one touched object plus its merged (priority-resolved) value
-/// before the batch mutated the store. monostate = absent.
-struct TouchedValue {
-  ObjectClass cls = ObjectClass::kOther;
-  ir::Asn asn = 0;
-  std::string name;
-  std::pair<net::Prefix, ir::Asn> route_key{};
-  rpsl::ParsedObject value;
-};
-
-rpsl::ParsedObject merged_value(const CorpusStore& store, const TouchedValue& t) {
-  switch (t.cls) {
-    case ObjectClass::kAutNum:
-      if (const auto* p = store.merged_aut_num(t.asn)) return *p;
-      break;
-    case ObjectClass::kAsSet:
-      if (const auto* p = store.merged_as_set(t.name)) return *p;
-      break;
-    case ObjectClass::kRouteSet:
-      if (const auto* p = store.merged_route_set(t.name)) return *p;
-      break;
-    case ObjectClass::kPeeringSet:
-      if (const auto* p = store.merged_peering_set(t.name)) return *p;
-      break;
-    case ObjectClass::kFilterSet:
-      if (const auto* p = store.merged_filter_set(t.name)) return *p;
-      break;
-    case ObjectClass::kRoute:
-      if (const auto* p = store.merged_route(t.route_key)) return *p;
-      break;
-    case ObjectClass::kOther:
-      break;
-  }
-  return {};
-}
-
-void add_member_of(const rpsl::ParsedObject& value,
-                   std::set<std::string, util::ILess>& into) {
-  if (const auto* an = std::get_if<ir::AutNum>(&value)) {
-    for (const ir::Symbol s : an->member_of) into.insert(ir::to_string(s));
-  } else if (const auto* route = std::get_if<ir::RouteObject>(&value)) {
-    for (const ir::Symbol s : route->member_of) into.insert(ir::to_string(s));
-  }
-}
-
-/// Close the dirty seeds over the dependency edges the compiler reads:
-///  * as-sets: reverse member (kSet) edges — a set containing a dirty set
-///    re-flattens;
-///  * route-sets: reverse member edges for set references, plus referencing
-///    sets whose kAsn/kAsSet members expand origin-changed ASes (as-set
-///    expansion is checked against the previous generation's flattening —
-///    if the flattening itself changed the set is already dirty).
-void close_dirty(compile::DirtySet& dirty, const ir::Ir& new_ir,
-                 const compile::CompiledPolicySnapshot& previous,
-                 const std::set<std::string, util::ILess>& as_set_seeds,
-                 const std::set<std::string, util::ILess>& route_set_seeds,
-                 const std::set<ir::Asn>& origins_changed) {
-  // --- as-set closure over reverse kSet edges ---
-  std::map<std::string, std::vector<std::string>, util::ILess> as_rev;
-  for (const auto& [name, set] : new_ir.as_sets) {
-    for (const ir::AsSetMember& m : set.members) {
-      if (m.kind == ir::AsSetMember::Kind::kSet) as_rev[ir::to_string(m.name)].push_back(name);
-    }
-  }
-  std::vector<std::string> stack(as_set_seeds.begin(), as_set_seeds.end());
-  dirty.as_sets.insert(as_set_seeds.begin(), as_set_seeds.end());
-  while (!stack.empty()) {
-    const std::string name = std::move(stack.back());
-    stack.pop_back();
-    if (const auto it = as_rev.find(name); it != as_rev.end()) {
-      for (const std::string& referrer : it->second) {
-        if (dirty.as_sets.insert(referrer).second) stack.push_back(referrer);
-      }
-    }
-  }
-
-  // --- route-set reverse reference maps ---
-  std::map<std::string, std::vector<std::string>, util::ILess> rs_rev_set;
-  std::map<std::string, std::vector<std::string>, util::ILess> rs_rev_as_set;
-  std::map<ir::Asn, std::vector<std::string>> rs_rev_asn;
-  for (const auto& [name, set] : new_ir.route_sets) {
-    const auto note = [&](const ir::RouteSetMember& m) {
-      switch (m.kind) {
-        case ir::RouteSetMember::Kind::kRouteSet:
-          rs_rev_set[ir::to_string(m.name)].push_back(name);
-          break;
-        case ir::RouteSetMember::Kind::kAsSet:
-          rs_rev_as_set[ir::to_string(m.name)].push_back(name);
-          break;
-        case ir::RouteSetMember::Kind::kAsn:
-          rs_rev_asn[m.asn].push_back(name);
-          break;
-        default:
-          break;
-      }
-    };
-    for (const auto& m : set.members) note(m);
-    for (const auto& m : set.mp_members) note(m);
-  }
-
-  std::set<std::string, util::ILess> rs_seeds = route_set_seeds;
-  for (const ir::Asn asn : origins_changed) {
-    if (const auto it = rs_rev_asn.find(asn); it != rs_rev_asn.end()) {
-      rs_seeds.insert(it->second.begin(), it->second.end());
-    }
-  }
-  for (const auto& [as_set, referrers] : rs_rev_as_set) {
-    bool affected = dirty.as_sets.contains(as_set);
-    if (!affected) {
-      if (const irr::FlattenedAsSet* flat = previous.index().flattened(as_set)) {
-        for (const ir::Asn asn : origins_changed) {
-          if (flat->contains(asn)) {
-            affected = true;
-            break;
-          }
-        }
-      }
-      // Undefined in the previous generation and not newly dirty: a set
-      // that stays undefined contributes the same unknown bit either way.
-    }
-    if (affected) rs_seeds.insert(referrers.begin(), referrers.end());
-  }
-
-  stack.assign(rs_seeds.begin(), rs_seeds.end());
-  dirty.route_sets.insert(rs_seeds.begin(), rs_seeds.end());
-  while (!stack.empty()) {
-    const std::string name = std::move(stack.back());
-    stack.pop_back();
-    if (const auto it = rs_rev_set.find(name); it != rs_rev_set.end()) {
-      for (const std::string& referrer : it->second) {
-        if (dirty.route_sets.insert(referrer).second) stack.push_back(referrer);
-      }
-    }
-  }
+CompileStats compile_stats(const compile::CompiledPolicySnapshot& snapshot) {
+  CompileStats stats;
+  stats.route_sets_recompiled = snapshot.index().ir().route_sets.size();
+  stats.regexes_recompiled = snapshot.compiled_regexes();
+  return stats;
 }
 
 }  // namespace
 
 DeltaPipeline::DeltaPipeline(std::vector<std::pair<std::string, std::string>> dumps,
-                             std::string_view relationships_serial1, Options options)
-    : options_(options) {
+                             std::string_view relationships_serial1) {
   store_.init(dumps);
   util::Diagnostics diags;
   auto relations = std::make_shared<relations::AsRelations>(
@@ -207,7 +71,7 @@ DeltaPipeline::DeltaPipeline(std::vector<std::pair<std::string, std::string>> du
   gen->ir = std::make_shared<const ir::Ir>(store_.materialize());
   gen->index = std::make_shared<const irr::Index>(*gen->ir);
   gen->snapshot = compile::CompiledPolicySnapshot::build(gen->index, relations_);
-  gen->stats.full_rebuild = true;
+  gen->stats = compile_stats(*gen->snapshot);
   publish(std::move(gen));
 
   reclaimer_ = std::thread([this] { reclaim_loop(); });
@@ -312,89 +176,15 @@ ApplyResult DeltaPipeline::apply(const JournalBatch& batch) {
     return result;
   }
 
-  // Merged view of every touched identity before mutation (one entry per
-  // identity: the pre-batch state, even when a batch touches it twice).
-  std::map<std::string, TouchedValue, util::ILess> before;
-  for (const PreparedOp& op : *prepared) {
-    if (before.contains(op.identity)) continue;
-    TouchedValue t{op.cls, op.asn, op.name, op.route_key, {}};
-    t.value = merged_value(store_, t);
-    before.emplace(op.identity, std::move(t));
-  }
-
   auto undo = store_.apply(*prepared);
   bool ok = false;
   std::shared_ptr<const Generation> next;
-  compile::DirtySet dirty;
   try {
-    // Seed the dirty set from before/after diffs of the merged view — this
-    // naturally handles priority shadowing (an ADD in a low-priority source
-    // under a high-priority definition changes nothing).
-    std::set<std::string, util::ILess> as_set_seeds;
-    std::set<std::string, util::ILess> route_set_seeds;
-    std::set<ir::Asn> origins_changed;
-    for (const auto& [identity, old] : before) {
-      const rpsl::ParsedObject now = merged_value(store_, old);
-      if (old.value == now) continue;
-      switch (old.cls) {
-        case ObjectClass::kAutNum:
-          dirty.aut_nums.insert(old.asn);
-          add_member_of(old.value, as_set_seeds);
-          add_member_of(now, as_set_seeds);
-          break;
-        case ObjectClass::kAsSet:
-          as_set_seeds.insert(old.name);
-          break;
-        case ObjectClass::kRouteSet:
-          route_set_seeds.insert(old.name);
-          break;
-        case ObjectClass::kFilterSet:
-          dirty.filter_sets.insert(old.name);
-          break;
-        case ObjectClass::kPeeringSet:
-          // Peering sets are resolved live from the fresh index at
-          // evaluation time; nothing compiled depends on them.
-          break;
-        case ObjectClass::kRoute: {
-          const bool was = std::holds_alternative<ir::RouteObject>(old.value);
-          const bool is = std::holds_alternative<ir::RouteObject>(now);
-          if (was != is) {
-            dirty.routes_changed = true;
-            origins_changed.insert(old.route_key.second);
-          }
-          add_member_of(old.value, route_set_seeds);
-          add_member_of(now, route_set_seeds);
-          break;
-        }
-        case ObjectClass::kOther:
-          break;
-      }
-    }
-
     auto ir = std::make_shared<const ir::Ir>(store_.materialize());
     auto index = std::make_shared<const irr::Index>(*ir);
 
     const auto compile_start = std::chrono::steady_clock::now();
-    {
-      obs::Span dirty_span("delta.dirty");
-      if (const auto hit = fp::hit("delta.dirty"); hit.is_error()) {
-        dirty.everything = true;  // degrade to a full, still-correct rebuild
-      } else {
-        close_dirty(dirty, *ir, *previous->snapshot, as_set_seeds, route_set_seeds,
-                    origins_changed);
-        dirty.origins_changed.assign(origins_changed.begin(), origins_changed.end());
-      }
-    }
-
-    compile::IncrementalStats stats;
-    std::shared_ptr<const compile::CompiledPolicySnapshot> snapshot;
-    if (options_.always_full || dirty.everything) {
-      stats.full_rebuild = true;
-      snapshot = compile::CompiledPolicySnapshot::build(index, relations_);
-    } else {
-      snapshot = compile::CompiledPolicySnapshot::build_incremental(
-          index, relations_, *previous->snapshot, dirty, &stats);
-    }
+    auto snapshot = compile::CompiledPolicySnapshot::build(index, relations_);
     result.compile_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - compile_start)
             .count();
@@ -405,8 +195,8 @@ ApplyResult DeltaPipeline::apply(const JournalBatch& batch) {
     gen->snapshot = std::move(snapshot);
     gen->serial = prepared->back().serial;
     gen->number = previous->number + 1;
-    gen->stats = stats;
-    gen->dirty_objects = dirty.size();
+    gen->stats = compile_stats(*gen->snapshot);
+    gen->dirty_objects = store_.changed_identities(undo);
     next = std::move(gen);
     ok = true;
   } catch (const std::exception& e) {
@@ -428,8 +218,6 @@ ApplyResult DeltaPipeline::apply(const JournalBatch& batch) {
   m.batches_applied.inc();
   m.ops_applied.inc(prepared->size());
   m.dirty_objects.set(static_cast<std::int64_t>(next->dirty_objects));
-  m.reused_sets.set(static_cast<std::int64_t>(next->stats.as_sets_seeded +
-                                              next->stats.route_sets_reused));
   m.journal_serial.set(static_cast<std::int64_t>(next->serial));
   m.apply_seconds.observe(elapsed.count());
 
@@ -442,8 +230,8 @@ ApplyResult DeltaPipeline::apply(const JournalBatch& batch) {
     last_error_.clear();
   }
   // Tear the superseded generation down on the reclaimer thread: freeing a
-  // corpus-sized Ir + index + snapshot costs as much as the incremental
-  // rebuild itself and must not extend the apply critical path.
+  // corpus-sized Ir + index + snapshot costs as much as the compile itself
+  // and must not extend the apply critical path.
   retire(std::move(previous));
   return result;
 }
@@ -457,11 +245,7 @@ std::string DeltaPipeline::stats_line() const {
                      " refused=" + std::to_string(batches_refused_) +
                      " ops=" + std::to_string(ops_applied_) +
                      " skipped=" + std::to_string(ops_skipped_) +
-                     " dirty=" + std::to_string(gen.dirty_objects) +
-                     " reused=" +
-                     std::to_string(gen.stats.as_sets_seeded + gen.stats.route_sets_reused +
-                                    gen.stats.regexes_reused) +
-                     " full_rebuild=" + (gen.stats.full_rebuild ? "1" : "0");
+                     " dirty=" + std::to_string(gen.dirty_objects);
   if (!last_error_.empty()) line += " last_error=\"" + last_error_ + "\"";
   return line;
 }

@@ -79,15 +79,6 @@ class Index : public aspath::AsSetMembership {
   /// (the §5-scale verification runs on many cores).
   void prewarm() const;
 
-  /// Seed the flattening memo with a known-complete closure computed
-  /// elsewhere (the incremental snapshot rebuild copies clean entries from
-  /// the previous generation's prewarmed index so prewarm() only walks the
-  /// dirty subgraph). The entry is recorded untainted; a prewarm() after
-  /// seeding then completes the remaining sets via cheap memo hits. Only
-  /// valid before the index is shared across threads, exactly like
-  /// prewarm(); ignored when `name` is not a defined as-set.
-  void seed_flattened(std::string_view name, FlattenedAsSet value) const;
-
   // aspath::AsSetMembership:
   bool contains(std::string_view as_set, ir::Asn asn) const override;
   bool is_known(std::string_view as_set) const override;

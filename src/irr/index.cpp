@@ -106,16 +106,6 @@ void Index::prewarm() const {
   }
 }
 
-void Index::seed_flattened(std::string_view name, FlattenedAsSet value) const {
-  if (as_set(name) == nullptr) return;  // only defined sets carry memo entries
-  const std::optional<ir::Symbol> key = canon_of(name);
-  if (!key) return;
-  // Seeds are complete closures by contract, so they enter untainted; a
-  // stale tainted marker from an earlier partial computation is cleared.
-  tainted_.erase(*key);
-  flattened_.insert_or_assign(*key, std::move(value));
-}
-
 const FlattenedAsSet* Index::flattened(std::string_view name) const {
   const std::optional<ir::Symbol> key = canon_of(name);
   return key ? flattened(*key) : nullptr;

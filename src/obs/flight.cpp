@@ -1,6 +1,7 @@
 #include "rpslyzer/obs/flight.hpp"
 
 #include <cstdio>
+#include <thread>
 
 #include "rpslyzer/obs/trace.hpp"
 
@@ -42,15 +43,36 @@ void FlightRecorder::record(const FlightRecord& record) noexcept {
   if (!enabled()) return;
   const std::uint64_t ticket = next_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[ticket & mask_];
-  // Seqlock write: odd marks the slot busy so a concurrent reader skips it;
-  // the release store of ticket*2+2 publishes the payload words.
-  slot.seq.store(ticket * 2 + 1, std::memory_order_release);
+  // Claim the slot: CAS it from a published (even) older sequence to our
+  // odd busy mark. A newer ticket's mark means a later writer already owns
+  // the slot and our record is evicted: drop it. An older writer still
+  // mid-write keeps the slot until it publishes, so wait for it; only one
+  // writer ever stores payload words into a slot at a time.
+  const std::uint64_t busy = ticket * 2 + 1;
+  std::uint64_t seq = slot.seq.load(std::memory_order_relaxed);
+  for (;;) {
+    if (seq >= busy) return;
+    if (seq % 2 == 1) {
+      std::this_thread::yield();
+      seq = slot.seq.load(std::memory_order_relaxed);
+      continue;
+    }
+    // Acquire pairs with the previous owner's publish, so its payload
+    // stores are ordered before ours.
+    if (slot.seq.compare_exchange_weak(seq, busy, std::memory_order_acquire,
+                                       std::memory_order_relaxed)) {
+      break;
+    }
+  }
+  // Orders the busy mark before the payload stores for a reader whose
+  // acquire fence observes one of them (read_slot's second check).
+  std::atomic_thread_fence(std::memory_order_release);
   std::uint64_t words[kWords];
   std::memcpy(words, &record, sizeof(record));
   for (std::size_t i = 0; i < kWords; ++i) {
     slot.words[i].store(words[i], std::memory_order_relaxed);
   }
-  slot.seq.store(ticket * 2 + 2, std::memory_order_release);
+  slot.seq.store(busy + 1, std::memory_order_release);
 }
 
 bool FlightRecorder::read_slot(const Slot& slot, std::uint64_t want_ticket,

@@ -9,12 +9,18 @@
 // Concurrency: writers are the worker pool plus the event loop; readers
 // are admin verbs (`!slow`, `!trace`) and post-mortem snapshot dumps.
 // Each slot is a seqlock: a writer claims a monotonically increasing
-// ticket (slot = ticket & mask), marks the slot odd, stores the payload
-// as relaxed atomic words, then publishes ticket*2+2 with release. A
-// reader validates the sequence before and after copying the words and
-// simply skips slots that were mid-write or got overwritten — no lock,
-// no retry loop, no writer stall. All payload accesses are atomic, so
-// the race a torn read represents is benign *and* TSan-clean.
+// ticket (slot = ticket & mask), CASes the slot's sequence from an older
+// published value to its odd busy mark ticket*2+1, stores the payload as
+// relaxed atomic words, then publishes ticket*2+2 with release. A writer
+// never stores into a slot a newer ticket owns: it drops its (already
+// evicted) record instead, and it waits only when it laps an older writer
+// that is still mid-write on the same slot — a whole ring of records
+// issued during one write. So at most one writer touches a slot's words
+// at a time, and once writers quiesce every slot holds its newest ticket.
+// A reader validates the sequence before and after copying the words and
+// simply skips slots that were mid-write or got overwritten — no lock, no
+// retry loop. All payload accesses are atomic, so the race a torn read
+// represents is benign *and* TSan-clean.
 //
 // Cost discipline: `record()` starts with one relaxed load of the
 // enabled flag (same pattern as tracing_on()); the disabled path must

@@ -1,14 +1,15 @@
-// Incremental delta pipeline: journal semantics, dirty-set rebuilds, and the
+// Delta pipeline: journal semantics, atomic refusal, and the
 // differential-equivalence spine.
 //
 // The central property under test is byte equality: after every applied
-// churn batch, the incrementally rebuilt CompiledPolicySnapshot must answer
-// every probe — set expansions, origin queries, Appendix-C verification
-// reports — byte-for-byte identically to a from-scratch compile of the
-// mutated corpus. Seeded churn sequences exercise add/del/modify of policy
-// and set objects, serial gaps, duplicate serials (replay), and DELs of
-// nonexistent objects; failpoint runs prove the same equality under
-// delta.apply refusals and delta.dirty degradation.
+// churn batch, the published CompiledPolicySnapshot must answer every
+// probe — set expansions, origin queries, Appendix-C verification reports —
+// byte-for-byte identically to the oracle, Rpslyzer::from_texts over the
+// store's own dump texts (the ordinary batch loader, the same reference
+// `journal apply --verify-full` uses). Seeded churn sequences exercise
+// add/del/modify of policy and set objects, serial gaps, duplicate serials
+// (replay), and DELs of nonexistent objects; failpoint runs prove the same
+// equality across delta.apply refusals and compile.build rollbacks.
 
 #include <cstdlib>
 #include <map>
@@ -75,10 +76,18 @@ EquivalenceOptions test_equiv_options() {
   return options;
 }
 
-void expect_equivalent(const DeltaPipeline& incremental, const DeltaPipeline& full,
-                       const std::string& context) {
-  const EquivalenceResult eq = compare_snapshots(
-      incremental.current_snapshot(), full.current_snapshot(), test_equiv_options());
+/// The oracle: the store's dump texts loaded and compiled from scratch by
+/// the ordinary batch loader.
+std::shared_ptr<const compile::CompiledPolicySnapshot> oracle(const DeltaPipeline& pipeline) {
+  auto lyzer = std::make_shared<Rpslyzer>(
+      Rpslyzer::from_texts(pipeline.store().source_texts(), corpus().relationships));
+  auto snapshot = lyzer->snapshot();
+  return {std::move(lyzer), snapshot.get()};
+}
+
+void expect_matches_oracle(const DeltaPipeline& pipeline, const std::string& context) {
+  const EquivalenceResult eq =
+      compare_snapshots(pipeline.current_snapshot(), oracle(pipeline), test_equiv_options());
   EXPECT_TRUE(eq.equal) << context << ": " << eq.mismatches << "/" << eq.probes
                         << " probes mismatched\n"
                         << eq.first_mismatch;
@@ -150,10 +159,7 @@ TEST(JournalFormat, FileNamesSortInSerialOrder) {
 // ---------------------------------------------------------------------------
 
 TEST_F(DeltaTest, ChurnBatchesStayByteIdenticalToFullCompile) {
-  DeltaPipeline incremental(corpus().dumps, corpus().relationships);
-  PipelineOptions full_options;
-  full_options.always_full = true;
-  DeltaPipeline full(corpus().dumps, corpus().relationships, full_options);
+  DeltaPipeline pipeline(corpus().dumps, corpus().relationships);
 
   synth::ChurnConfig churn_config;
   churn_config.seed = seed_from_env();
@@ -163,45 +169,29 @@ TEST_F(DeltaTest, ChurnBatchesStayByteIdenticalToFullCompile) {
   for (int b = 0; b < 40; ++b) {
     SCOPED_TRACE("batch " + std::to_string(b));
     const JournalBatch batch = churn.next_batch();
-    const ApplyResult inc_result = incremental.apply(batch);
-    const ApplyResult full_result = full.apply(batch);
-    ASSERT_FALSE(inc_result.refused) << inc_result.error;
-    ASSERT_FALSE(full_result.refused) << full_result.error;
-    EXPECT_EQ(inc_result.ops_applied, full_result.ops_applied);
-    EXPECT_EQ(inc_result.ops_skipped, full_result.ops_skipped);
-    expect_equivalent(incremental, full, "batch " + std::to_string(b));
+    const ApplyResult result = pipeline.apply(batch);
+    ASSERT_FALSE(result.refused) << result.error;
+    EXPECT_EQ(result.ops_applied + result.ops_skipped, batch.ops.size());
+    expect_matches_oracle(pipeline, "batch " + std::to_string(b));
   }
-  // The incremental side must actually be incremental: across 40 batches of
-  // 12-op churn, at least one apply reused previous-generation tables.
-  EXPECT_FALSE(incremental.current()->stats.full_rebuild);
-  EXPECT_GT(incremental.current()->stats.as_sets_seeded +
-                incremental.current()->stats.route_sets_reused +
-                incremental.current()->stats.regexes_reused,
-            0u);
+  EXPECT_TRUE(pipeline.current()->stats.full_rebuild);
+  EXPECT_EQ(pipeline.current()->stats.route_sets_reused, 0u);
+  EXPECT_EQ(pipeline.current()->stats.regexes_reused, 0u);
 }
 
 TEST_F(DeltaTest, IncrementalMatchesLoaderFromScratchCompile) {
-  DeltaPipeline incremental(corpus().dumps, corpus().relationships);
+  // Several batches with no comparison in between: the store's canonical
+  // texts must still round-trip to the same compiled artifact at the end.
+  DeltaPipeline pipeline(corpus().dumps, corpus().relationships);
   synth::ChurnConfig churn_config;
   churn_config.seed = seed_from_env() ^ 0x5bd1e995u;
   churn_config.ops_per_batch = 10;
   synth::ChurnGenerator churn(corpus().dump_map, churn_config);
   for (int b = 0; b < 5; ++b) {
-    const ApplyResult result = incremental.apply(churn.next_batch());
+    const ApplyResult result = pipeline.apply(churn.next_batch());
     ASSERT_FALSE(result.refused) << result.error;
   }
-  // Reference side through the ordinary batch loader, not the pipeline: the
-  // store's canonical texts must round-trip to the same compiled artifact.
-  auto lyzer = std::make_shared<Rpslyzer>(Rpslyzer::from_texts(
-      incremental.store().source_texts(), corpus().relationships));
-  auto snapshot = lyzer->snapshot();
-  const std::shared_ptr<const compile::CompiledPolicySnapshot> reference{
-      std::move(lyzer), snapshot.get()};
-  const EquivalenceResult eq = compare_snapshots(incremental.current_snapshot(),
-                                                 reference, test_equiv_options());
-  EXPECT_TRUE(eq.equal) << eq.mismatches << "/" << eq.probes
-                        << " probes mismatched\n"
-                        << eq.first_mismatch;
+  expect_matches_oracle(pipeline, "after 5 batches");
 }
 
 // ---------------------------------------------------------------------------
@@ -247,8 +237,7 @@ TEST_F(DeltaTest, DelOfNonexistentObjectIsANoOpNotARefusal) {
       3, JournalOp::Kind::kDel, "RADB", "as-set: AS-NEVER-EXISTED\n"));
   ASSERT_FALSE(result.refused) << result.error;
   EXPECT_TRUE(result.applied);
-  // The object was absent before and after: the merged-view diff finds no
-  // change, so nothing recompiles.
+  // The object was absent before and after: no stored paragraph changed.
   EXPECT_EQ(result.dirty_objects, 0u);
   EXPECT_GT(pipeline.current()->number, generation);
 }
@@ -272,7 +261,7 @@ TEST_F(DeltaTest, UnknownSourceRefusesAtomically) {
 }
 
 // ---------------------------------------------------------------------------
-// Failpoints: delta.apply refusal, delta.dirty degradation
+// Failpoints: delta.apply refusal, compile.build rollback
 // ---------------------------------------------------------------------------
 
 TEST_F(DeltaTest, ApplyFailpointRefusesBeforeAnyMutation) {
@@ -293,46 +282,8 @@ TEST_F(DeltaTest, ApplyFailpointRefusesBeforeAnyMutation) {
   EXPECT_EQ(pipeline.applied_serial(), 6u);
 }
 
-TEST_F(DeltaTest, DirtyFailpointDegradesToFullRebuildStillEquivalent) {
-  DeltaPipeline incremental(corpus().dumps, corpus().relationships);
-  PipelineOptions full_options;
-  full_options.always_full = true;
-  DeltaPipeline full(corpus().dumps, corpus().relationships, full_options);
-
-  synth::ChurnConfig churn_config;
-  churn_config.seed = seed_from_env() ^ 0x27d4eb2fu;
-  churn_config.ops_per_batch = 8;
-  synth::ChurnGenerator churn(corpus().dump_map, churn_config);
-
-  ASSERT_TRUE(fp::set("delta.dirty", "error"));
-  for (int b = 0; b < 3; ++b) {
-    SCOPED_TRACE("degraded batch " + std::to_string(b));
-    const JournalBatch batch = churn.next_batch();
-    const ApplyResult result = incremental.apply(batch);
-    ASSERT_TRUE(result.applied) << result.error;
-    // Degraded dirty computation = full, still-correct rebuild.
-    EXPECT_TRUE(incremental.current()->stats.full_rebuild);
-    ASSERT_TRUE(full.apply(batch).applied);
-    expect_equivalent(incremental, full, "degraded batch " + std::to_string(b));
-  }
-  fp::clear("delta.dirty");
-
-  // Back to incremental service after the fault clears, equivalence intact.
-  for (int b = 0; b < 3; ++b) {
-    SCOPED_TRACE("recovered batch " + std::to_string(b));
-    const JournalBatch batch = churn.next_batch();
-    ASSERT_TRUE(incremental.apply(batch).applied);
-    ASSERT_TRUE(full.apply(batch).applied);
-    EXPECT_FALSE(incremental.current()->stats.full_rebuild);
-    expect_equivalent(incremental, full, "recovered batch " + std::to_string(b));
-  }
-}
-
 TEST_F(DeltaTest, ChurnUnderIntermittentFaultsStaysEquivalent) {
-  DeltaPipeline incremental(corpus().dumps, corpus().relationships);
-  PipelineOptions full_options;
-  full_options.always_full = true;
-  DeltaPipeline full(corpus().dumps, corpus().relationships, full_options);
+  DeltaPipeline pipeline(corpus().dumps, corpus().relationships);
 
   synth::ChurnConfig churn_config;
   churn_config.seed = seed_from_env() ^ 0x165667b1u;
@@ -345,12 +296,18 @@ TEST_F(DeltaTest, ChurnUnderIntermittentFaultsStaysEquivalent) {
     if (b % 5 == 1) {
       // A one-shot apply fault: the batch refuses, then the retry applies.
       ASSERT_TRUE(fp::set("delta.apply", "1*error"));
-      EXPECT_TRUE(incremental.apply(batch).refused);
+      EXPECT_TRUE(pipeline.apply(batch).refused);
     }
-    if (b % 7 == 3) ASSERT_TRUE(fp::set("delta.dirty", "1*error"));
-    ASSERT_TRUE(incremental.apply(batch).applied);
-    ASSERT_TRUE(full.apply(batch).applied);
-    expect_equivalent(incremental, full, "batch " + std::to_string(b));
+    if (b % 7 == 3) {
+      // A one-shot compile fault after the store mutated: the store rolls
+      // back, the batch refuses, and the retry applies from the same state.
+      const auto before = pipeline.current();
+      ASSERT_TRUE(fp::set("compile.build", "1*error"));
+      EXPECT_TRUE(pipeline.apply(batch).refused);
+      EXPECT_EQ(pipeline.current().get(), before.get());
+    }
+    ASSERT_TRUE(pipeline.apply(batch).applied);
+    expect_matches_oracle(pipeline, "batch " + std::to_string(b));
   }
 }
 
@@ -371,14 +328,41 @@ TEST_F(DeltaTest, StatsLineCarriesSerialAndDirtySize) {
   EXPECT_NE(line.find("dirty="), std::string::npos) << line;
 }
 
+TEST_F(DeltaTest, DirtyObjectsCountOnlyChangedParagraphs) {
+  DeltaPipeline pipeline(corpus().dumps, corpus().relationships);
+  const std::string text = "as-set: AS-RECOUNT\nmembers: AS64500\n";
+  const ApplyResult added =
+      pipeline.apply(single_op_batch(21, JournalOp::Kind::kAdd, "RADB", text));
+  ASSERT_TRUE(added.applied) << added.error;
+  EXPECT_EQ(added.dirty_objects, 1u);
+
+  // Re-ADD of the identical paragraph: applied, but nothing changed.
+  const ApplyResult same =
+      pipeline.apply(single_op_batch(22, JournalOp::Kind::kAdd, "RADB", text));
+  ASSERT_TRUE(same.applied) << same.error;
+  EXPECT_EQ(same.dirty_objects, 0u);
+
+  // An ADD that modifies the stored paragraph counts once.
+  const ApplyResult modified = pipeline.apply(single_op_batch(
+      23, JournalOp::Kind::kAdd, "RADB", "as-set: AS-RECOUNT\nmembers: AS64501\n"));
+  ASSERT_TRUE(modified.applied) << modified.error;
+  EXPECT_EQ(modified.dirty_objects, 1u);
+  EXPECT_EQ(pipeline.current()->dirty_objects, 1u);
+}
+
 TEST_F(DeltaTest, StoreRoundTripsModifyAndDelete) {
   CorpusStore store;
   store.init({{"RADB", "as-set: AS-ONE\nmembers: AS1\n\naut-num: AS1\n"},
               {"RIPE", "as-set: AS-ONE\nmembers: AS2\n"}});
+  const auto first_member = [&store] {
+    const ir::Ir ir = store.materialize();
+    const auto it = ir.as_sets.find("AS-ONE");
+    return it == ir.as_sets.end() || it->second.members.size() != 1
+               ? ir::Asn{0}
+               : it->second.members[0].asn;
+  };
   // Priority: RADB's definition shadows RIPE's.
-  ASSERT_NE(store.merged_as_set("AS-ONE"), nullptr);
-  ASSERT_EQ(store.merged_as_set("AS-ONE")->members.size(), 1u);
-  EXPECT_EQ(store.merged_as_set("AS-ONE")->members[0].asn, 1u);
+  EXPECT_EQ(first_member(), 1u);
 
   // DEL the RADB copy: the RIPE definition becomes the merged view.
   JournalBatch del = single_op_batch(1, JournalOp::Kind::kDel, "RADB",
@@ -388,13 +372,12 @@ TEST_F(DeltaTest, StoreRoundTripsModifyAndDelete) {
   auto prepared = store.prepare(del, 0, &skipped, &error);
   ASSERT_TRUE(prepared.has_value()) << error;
   auto undo = store.apply(*prepared);
-  ASSERT_NE(store.merged_as_set("AS-ONE"), nullptr);
-  EXPECT_EQ(store.merged_as_set("AS-ONE")->members[0].asn, 2u);
+  EXPECT_EQ(store.changed_identities(undo), 1u);
+  EXPECT_EQ(first_member(), 2u);
 
   // revert() restores the pre-batch world exactly.
   store.revert(std::move(undo));
-  ASSERT_NE(store.merged_as_set("AS-ONE"), nullptr);
-  EXPECT_EQ(store.merged_as_set("AS-ONE")->members[0].asn, 1u);
+  EXPECT_EQ(first_member(), 1u);
 }
 
 }  // namespace

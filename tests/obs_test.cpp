@@ -640,5 +640,54 @@ TEST(FlightRecorder, ConcurrentWritersAndReadersStayCoherent) {
   EXPECT_EQ(recorder.snapshot().size(), recorder.capacity());
 }
 
+TEST(FlightRecorder, TwoSlotRingUnderEightWritersNeverTearsOrLosesTheNewest) {
+  // With far more writers than slots, writers one ring lap apart share a
+  // slot all the time — the collision a production-sized ring sees only
+  // when a writer is preempted mid-record. A writer must never store into
+  // or publish a slot a newer ticket owns: a snapshot may never return a
+  // torn record, and once the writers are done each slot must hold the
+  // newest ticket that mapped to it.
+  FlightRecorder recorder(2);
+  constexpr int kWriters = 8;
+  constexpr std::uint64_t kPerWriter = 20000;
+  const auto coherent = [](const FlightRecord& record) {
+    return record.end_us == record.trace_id * 10 && record.generation == record.trace_id &&
+           record.bytes == static_cast<std::uint32_t>(record.trace_id) &&
+           record.total_us == record.trace_id % 1000 + record.queue_us;
+  };
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> bad_reads{0};
+  std::thread reader([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      for (const FlightRecord& record : recorder.snapshot()) {
+        if (!coherent(record)) bad_reads.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  });
+  std::vector<std::thread> writers;
+  writers.reserve(kWriters);
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&recorder, w] {
+      for (std::uint64_t i = 0; i < kPerWriter; ++i) {
+        const std::uint64_t id = static_cast<std::uint64_t>(w) * kPerWriter + i + 1;
+        FlightRecord record = make_record(id);
+        record.generation = id;
+        record.bytes = static_cast<std::uint32_t>(id);
+        record.queue_us = static_cast<std::uint32_t>(w);
+        record.total_us = static_cast<std::uint32_t>(id % 1000 + record.queue_us);
+        recorder.record(record);
+      }
+    });
+  }
+  for (auto& writer : writers) writer.join();
+  stop.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_EQ(bad_reads.load(), 0u);
+  EXPECT_EQ(recorder.total(), static_cast<std::uint64_t>(kWriters) * kPerWriter);
+  const std::vector<FlightRecord> last = recorder.snapshot();
+  EXPECT_EQ(last.size(), recorder.capacity());
+  for (const FlightRecord& record : last) EXPECT_TRUE(coherent(record));
+}
+
 }  // namespace
 }  // namespace rpslyzer::obs

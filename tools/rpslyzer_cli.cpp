@@ -75,8 +75,8 @@ int usage() {
                "                                  the corpus (--protect: never touch that\n"
                "                                  origin's routes; repeatable)\n"
                "  journal apply <dir> --journal JDIR [--verify-full] [--threads N]\n"
-               "                                  apply batches through the incremental\n"
-               "                                  delta pipeline (--verify-full: after\n"
+               "                                  apply batches through the delta\n"
+               "                                  pipeline (--verify-full: after\n"
                "                                  every batch, compare byte-for-byte\n"
                "                                  against a from-scratch compile)\n"
                "  serve <dir>|--synth|--snapshot <snap> [flags]\n"
@@ -90,7 +90,7 @@ int usage() {
                "                 [--journal JDIR [--journal-poll-ms N]]\n"
                "                                  follow an NRTM journal directory: each\n"
                "                                  batch publishes a new generation via\n"
-               "                                  the incremental delta pipeline (needs a\n"
+               "                                  the delta pipeline (needs a\n"
                "                                  corpus <dir>; default poll 1000 ms)\n"
                "                 [--slow-ms N]    copy queries slower than N ms into the\n"
                "                                  `!slow` log (0 = off)\n"
@@ -535,17 +535,16 @@ int cmd_journal_apply(const std::filesystem::path& dir, int argc, char** argv) {
         return 1;
       }
       const auto generation = pipeline->current();
-      std::printf("%s: serials %llu..%llu ops=%zu skipped=%zu dirty=%zu gen=%llu%s\n",
+      std::printf("%s: serials %llu..%llu ops=%zu skipped=%zu dirty=%zu gen=%llu\n",
                   path.filename().c_str(),
                   static_cast<unsigned long long>(batch->first_serial),
                   static_cast<unsigned long long>(batch->last_serial),
                   result.ops_applied, result.ops_skipped, result.dirty_objects,
-                  static_cast<unsigned long long>(generation->number),
-                  generation->stats.full_rebuild ? " (full rebuild)" : "");
+                  static_cast<unsigned long long>(generation->number));
       if (verify_full && result.applied) {
-        // Reference side: from-scratch compile of the mutated corpus through
-        // the ordinary batch loader. Byte equality here is the pipeline's
-        // whole correctness contract.
+        // Reference side: the mutated corpus re-rendered to dump texts and
+        // loaded through the ordinary batch loader. Byte equality here is
+        // the pipeline's whole correctness contract.
         auto lyzer = std::make_shared<Rpslyzer>(Rpslyzer::from_texts(
             pipeline->store().source_texts(), *relationships, load_options));
         auto snapshot = lyzer->snapshot();
@@ -555,8 +554,8 @@ int cmd_journal_apply(const std::filesystem::path& dir, int argc, char** argv) {
             delta::compare_snapshots(pipeline->current_snapshot(), reference);
         if (!eq.equal) {
           std::fprintf(stderr,
-                       "journal apply: %s: incremental snapshot diverged from full "
-                       "compile (%zu/%zu probes mismatched)\n%s\n",
+                       "journal apply: %s: pipeline snapshot diverged from the "
+                       "loader's (%zu/%zu probes mismatched)\n%s\n",
                        path.c_str(), eq.mismatches, eq.probes,
                        eq.first_mismatch.c_str());
           return 1;
@@ -750,7 +749,7 @@ int cmd_serve(int argc, char** argv) {
   }
   // --snapshot-cache only makes sense when reloads re-read a data dir.
   if (!snapshot_cache_dir.empty() && data_dir.empty()) return usage();
-  // --journal follows a corpus dir through the incremental delta pipeline;
+  // --journal follows a corpus dir through the delta pipeline;
   // it subsumes reload-from-disk, so the snapshot cache does not apply.
   if (!journal_dir.empty() && (data_dir.empty() || !snapshot_cache_dir.empty())) {
     return usage();
