@@ -66,26 +66,6 @@ bool token_matches(const ir::ReToken& token, Asn asn, const MatchEnv& env);
 /// and repetition counts above kMaxRepeatExpansion.
 RegexMatch match_nfa(const ir::AsPathRegex& regex, const MatchEnv& env);
 
-/// A compiled NFA flattened to plain tables, the serialization surface the
-/// snapshot persistence layer writes into its arena file. Offsets replace
-/// pointers: the edges of state `s` are `edges[state_offsets[s]` ..
-/// `state_offsets[s + 1])`. Kinds mirror the engine's internal edge kinds
-/// (0 = epsilon, 1 = assert-begin, 2 = assert-end, 3 = token, 4 = any).
-struct NfaImage {
-  struct Edge {
-    std::uint8_t kind = 0;
-    std::int32_t token = -1;  // index into `tokens` for kind 3
-    std::int32_t to = -1;
-  };
-
-  std::vector<std::uint32_t> state_offsets;  // size = states + 1
-  std::vector<Edge> edges;
-  std::vector<ir::ReToken> tokens;
-  std::int32_t start = -1;
-  std::int32_t accept = -1;
-  bool unsupported = false;
-};
-
 /// A regex pre-lowered to its predicate NFA. match_nfa() rebuilds the
 /// Thompson automaton on every call; compiling once and matching many times
 /// is what the §5-scale hot loop (and the compiled policy snapshot) wants.
@@ -94,10 +74,6 @@ struct NfaImage {
 class CompiledRegex {
  public:
   explicit CompiledRegex(const ir::AsPathRegex& regex);
-  /// Rehydrate from a previously exported image (snapshot load path).
-  /// Throws std::invalid_argument when the image's indices are out of
-  /// bounds or an edge kind is unknown.
-  explicit CompiledRegex(const NfaImage& image);
   CompiledRegex(CompiledRegex&&) noexcept;
   CompiledRegex& operator=(CompiledRegex&&) noexcept;
   CompiledRegex(const CompiledRegex&) = delete;
@@ -108,10 +84,6 @@ class CompiledRegex {
   /// (same-pattern operators, oversized repeats); match() then returns
   /// kUnsupported and the caller should fall back to match_backtrack.
   bool supported() const noexcept;
-
-  /// Export the automaton as flat relocatable tables; image() followed by
-  /// CompiledRegex(image) reproduces identical match behaviour.
-  NfaImage image() const;
 
   RegexMatch match(const MatchEnv& env) const;
 

@@ -7,7 +7,6 @@
 // consume-anything self-loops at the start and accept states; explicit
 // anchors still bind because assertions check the absolute position.
 
-#include <stdexcept>
 #include <vector>
 
 #include "rpslyzer/aspath/engine.hpp"
@@ -242,77 +241,13 @@ struct CompiledRegex::Impl {
   Nfa nfa;
 };
 
-namespace {
-
-/// Rebuild the internal automaton from flat tables, validating every index
-/// so a damaged snapshot cannot produce out-of-bounds edges.
-Nfa from_image(const NfaImage& image) {
-  if (image.state_offsets.empty()) throw std::invalid_argument("NfaImage: empty automaton");
-  const std::size_t states = image.state_offsets.size() - 1;
-  const auto in_states = [&](std::int32_t s) {
-    return s >= 0 && static_cast<std::size_t>(s) < states;
-  };
-  if (!in_states(image.start) || !in_states(image.accept)) {
-    throw std::invalid_argument("NfaImage: start/accept out of range");
-  }
-  Nfa nfa;
-  nfa.start = image.start;
-  nfa.accept = image.accept;
-  nfa.unsupported = image.unsupported;
-  nfa.tokens = image.tokens;
-  nfa.states.resize(states);
-  for (std::size_t s = 0; s < states; ++s) {
-    const std::uint32_t begin = image.state_offsets[s];
-    const std::uint32_t end = image.state_offsets[s + 1];
-    if (begin > end || end > image.edges.size()) {
-      throw std::invalid_argument("NfaImage: bad state offsets");
-    }
-    for (std::uint32_t e = begin; e < end; ++e) {
-      const NfaImage::Edge& img = image.edges[e];
-      if (img.kind > static_cast<std::uint8_t>(Edge::Kind::kAnyToken)) {
-        throw std::invalid_argument("NfaImage: unknown edge kind");
-      }
-      const auto kind = static_cast<Edge::Kind>(img.kind);
-      if (!in_states(img.to)) throw std::invalid_argument("NfaImage: edge target out of range");
-      if (kind == Edge::Kind::kToken &&
-          (img.token < 0 || static_cast<std::size_t>(img.token) >= image.tokens.size())) {
-        throw std::invalid_argument("NfaImage: token index out of range");
-      }
-      nfa.states[s].push_back({kind, img.token, img.to});
-    }
-  }
-  return nfa;
-}
-
-}  // namespace
-
 CompiledRegex::CompiledRegex(const ir::AsPathRegex& regex)
     : impl_(std::make_unique<Impl>(Impl{compile(regex)})) {}
-CompiledRegex::CompiledRegex(const NfaImage& image)
-    : impl_(std::make_unique<Impl>(Impl{from_image(image)})) {}
 CompiledRegex::CompiledRegex(CompiledRegex&&) noexcept = default;
 CompiledRegex& CompiledRegex::operator=(CompiledRegex&&) noexcept = default;
 CompiledRegex::~CompiledRegex() = default;
 
 bool CompiledRegex::supported() const noexcept { return !impl_->nfa.unsupported; }
-
-NfaImage CompiledRegex::image() const {
-  const Nfa& nfa = impl_->nfa;
-  NfaImage out;
-  out.start = nfa.start;
-  out.accept = nfa.accept;
-  out.unsupported = nfa.unsupported;
-  out.tokens = nfa.tokens;
-  out.state_offsets.reserve(nfa.states.size() + 1);
-  out.state_offsets.push_back(0);
-  for (const auto& edges : nfa.states) {
-    for (const Edge& e : edges) {
-      out.edges.push_back({static_cast<std::uint8_t>(e.kind), e.token, e.to});
-    }
-    out.state_offsets.push_back(static_cast<std::uint32_t>(out.edges.size()));
-  }
-  return out;
-}
 
 RegexMatch CompiledRegex::match(const MatchEnv& env) const {
   const Nfa& nfa = impl_->nfa;

@@ -22,8 +22,11 @@
 //  * customer cones and the §5.1.2 only-provider bit computed per aut-num.
 //
 // build() is the only compile path: the initial load, every reload and
-// every delta journal batch lower the whole corpus from scratch (the
-// persistence codec restores a written snapshot without recompiling).
+// every delta journal batch lower the whole corpus from scratch. The
+// persistence codec restores a written snapshot by running build()'s own
+// lowering step (symbols, rules, only-provider bits, AS-path NFAs) over the
+// decoded IR and reading only the costly closures (flattened as-sets,
+// origin lists, route-set intervals, customer cones) from the file.
 // Everything is const after build(); a shared_ptr<const
 // CompiledPolicySnapshot> is safely shared across any number of threads
 // with no prewarm dance. The behaviour contract — enforced by
@@ -187,9 +190,9 @@ class CompiledPolicySnapshot : public aspath::AsSetMembership {
   std::span<const ir::Asn> exact_origins(const net::Prefix& prefix) const;
 
  private:
-  /// The persistence codec serializes the compiled tables into an arena
-  /// file and reconstructs them (spans pointing into the mapping) without
-  /// recompiling; it is the only writer besides build() itself.
+  /// The persistence codec serializes the closure tables into an arena
+  /// file and restores them (spans pointing into the mapping) around a
+  /// lower_policies() pass; it is the only writer besides build() itself.
   friend class rpslyzer::persist::SnapshotCodec;
 
   struct CompiledAsPath {
@@ -201,10 +204,15 @@ class CompiledPolicySnapshot : public aspath::AsSetMembership {
 
   SymbolId intern(std::string_view name);
   std::optional<SymbolId> symbol(std::string_view name) const;
+  /// The pure functions of the IR and relations, shared by build() and
+  /// the codec's restore: intern every set name, lower each aut-num's rules
+  /// and AS-path regexes, set its only-provider bit, and compile the
+  /// filter-set regexes. Leaves customer cones empty.
+  void lower_policies();
   void build_as_sets();
   void build_origin_trie();
   void build_route_sets();
-  void build_aut_nums();
+  void build_cones();
   void compile_filter(const ir::Filter& filter);
   CompiledRule compile_rule(const ir::Rule& rule) const;
 
@@ -215,9 +223,9 @@ class CompiledPolicySnapshot : public aspath::AsSetMembership {
   std::string source_ = "memory";
 
   // Interned set names: fold-mode flat table (one id per case-insensitive
-  // class, first-seen spelling kept, ids dense from 0 in intern order) —
-  // the same id assignment the old IHash-keyed map + name vector produced,
-  // so the persisted symbol-section layout (id = position) is unchanged.
+  // class, first-seen spelling kept, ids dense from 0 in intern order:
+  // as-sets, then route-sets, each in IR order). The persisted as-set and
+  // route-set tables key their entries by these ids.
   util::SymbolTable symbols_{util::SymbolTable::Mode::kCaseFold};
 
   std::unordered_map<SymbolId, CompiledAsSet> as_sets_;

@@ -117,10 +117,11 @@ std::shared_ptr<const CompiledPolicySnapshot> CompiledPolicySnapshot::build(
   snap->relations_ = std::move(relations);
   snap->build_id_ = allocate_build_id();
 
+  snap->lower_policies();
   snap->build_as_sets();
   snap->build_origin_trie();
   snap->build_route_sets();
-  snap->build_aut_nums();
+  snap->build_cones();
 
   snap->trie_nodes_ = snap->origins_.node_count();
   for (const auto& [id, set] : snap->route_sets_) {
@@ -430,19 +431,16 @@ CompiledRule CompiledPolicySnapshot::compile_rule(const ir::Rule& rule) const {
   return out;
 }
 
-void CompiledPolicySnapshot::build_aut_nums() {
-  // Materialize every cone first so the pool reserves exactly once (spans
-  // into a growing vector would dangle).
-  std::vector<std::vector<ir::Asn>> cones;
-  cones.reserve(index_->ir().aut_nums.size());
-  std::size_t total = 0;
-  for (const auto& [asn, an] : index_->ir().aut_nums) {
-    cones.push_back(relations_->customer_cone(asn));
-    total += cones.back().size();
-  }
-  cone_pool_.reserve(total);
-  std::size_t i = 0;
-  for (const auto& [asn, an] : index_->ir().aut_nums) {
+void CompiledPolicySnapshot::lower_policies() {
+  const ir::Ir& ir = index_->ir();
+  // Symbol ids are dense in intern order: as-sets, then route-sets, each in
+  // IR order. The persisted closure tables key their entries by these ids.
+  symbols_.reserve(ir.as_sets.size() + ir.route_sets.size());
+  for (const auto& [name, set] : ir.as_sets) intern(name);
+  for (const auto& [name, set] : ir.route_sets) intern(name);
+
+  aut_nums_.reserve(ir.aut_nums.size());
+  for (const auto& [asn, an] : ir.aut_nums) {
     CompiledAutNum compiled;
     compiled.an = &an;
     compiled.imports.reserve(an.imports.size());
@@ -455,19 +453,37 @@ void CompiledPolicySnapshot::build_aut_nums() {
       compiled.exports.push_back(compile_rule(rule));
       for_each_filter(rule.entry, [&](const ir::Filter& f) { compile_filter(f); });
     }
-    const std::vector<ir::Asn>& cone = cones[i++];
-    const std::size_t offset = cone_pool_.size();
-    cone_pool_.insert(cone_pool_.end(), cone.begin(), cone.end());
-    compiled.customer_cone = std::span<const ir::Asn>(cone_pool_).subspan(offset, cone.size());
     compiled.only_provider = only_provider_policies(*index_, *relations_, asn);
     aut_nums_.emplace(asn, std::move(compiled));
   }
   // Filter-set bodies are reached by name at evaluation time; precompile
   // their regexes too so the hot path never falls back to per-call NFA
   // construction.
-  for (const auto& [name, set] : index_->ir().filter_sets) {
+  for (const auto& [name, set] : ir.filter_sets) {
     if (set.has_filter) compile_filter(set.filter);
     if (set.has_mp_filter) compile_filter(set.mp_filter);
+  }
+}
+
+void CompiledPolicySnapshot::build_cones() {
+  // Materialize every cone first so the pool reserves exactly once (spans
+  // into a growing vector would dangle).
+  const auto& aut_nums = index_->ir().aut_nums;
+  std::vector<std::vector<ir::Asn>> cones;
+  cones.reserve(aut_nums.size());
+  std::size_t total = 0;
+  for (const auto& [asn, an] : aut_nums) {
+    cones.push_back(relations_->customer_cone(asn));
+    total += cones.back().size();
+  }
+  cone_pool_.reserve(total);
+  std::size_t i = 0;
+  for (const auto& [asn, an] : aut_nums) {
+    const std::vector<ir::Asn>& cone = cones[i++];
+    const std::size_t offset = cone_pool_.size();
+    cone_pool_.insert(cone_pool_.end(), cone.begin(), cone.end());
+    aut_nums_.at(asn).customer_cone =
+        std::span<const ir::Asn>(cone_pool_).subspan(offset, cone.size());
   }
 }
 

@@ -57,7 +57,6 @@ std::string errno_message(const char* what, const std::filesystem::path& path) {
 
 const char* section_name(SectionId id) noexcept {
   switch (id) {
-    case SectionId::kSymbols: return "symbols";
     case SectionId::kIr: return "ir";
     case SectionId::kRelations: return "relations";
     case SectionId::kAsSetPool: return "as-set-pool";
@@ -68,7 +67,6 @@ const char* section_name(SectionId id) noexcept {
     case SectionId::kRouteSets: return "route-sets";
     case SectionId::kConePool: return "cone-pool";
     case SectionId::kAutNums: return "aut-nums";
-    case SectionId::kNfa: return "nfa";
   }
   return "unknown";
 }

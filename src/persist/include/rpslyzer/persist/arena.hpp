@@ -43,7 +43,7 @@ namespace rpslyzer::persist {
 /// Current arena format version. Bump on any layout or codec change; a
 /// loader refuses files with a different version (the generation cache then
 /// treats them as misses and rebuilds).
-inline constexpr std::uint32_t kFormatVersion = 1;
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 /// File magic: "RPSZSNP1".
 inline constexpr std::uint64_t kMagic = 0x31504E535A535052ull;
@@ -53,8 +53,10 @@ inline constexpr std::size_t kSectionAlignment = 16;
 
 /// Section identifiers. Order in the file follows write order; lookup is by
 /// id, so sections may be added without renumbering (with a version bump).
+/// The file holds inputs (IR, relations) and the closures that cost real
+/// work to derive; everything else is re-derived on open. Ids 1 (symbols)
+/// and 12 (NFA tables) belonged to format 1 and are never reused.
 enum class SectionId : std::uint32_t {
-  kSymbols = 1,       // interned set names: offsets + blob
   kIr = 2,            // binary-encoded ir::Ir
   kRelations = 3,     // binary AS-relationship links + tier-1 clique
   kAsSetPool = 4,     // flattened as-set member ASNs (u32 array)
@@ -64,12 +66,11 @@ enum class SectionId : std::uint32_t {
   kIntervalPool = 8,  // route-set length intervals ({u8 lo, u8 hi} array)
   kRouteSets = 9,     // per-symbol route-set entries referencing the pool
   kConePool = 10,     // customer-cone ASNs (u32 array)
-  kAutNums = 11,      // per-AS lowered rules referencing the cone pool
-  kNfa = 12,          // AS-path NFA tables in deterministic build order
+  kAutNums = 11,      // per-AS customer-cone entries referencing the pool
 };
 
 /// Human-readable section name for error messages and replication status
-/// pages ("symbols", "ir", ... , "nfa"); "unknown" for out-of-range ids.
+/// pages ("ir", "relations", ... , "aut-nums"); "unknown" for any other id.
 const char* section_name(SectionId id) noexcept;
 
 /// Byte offset within the image where the checksum field of the fixed

@@ -1,17 +1,19 @@
 #pragma once
 // Snapshot persistence: serialize a compile::CompiledPolicySnapshot into a
-// relocatable arena file and restore it with one mmap plus O(1) fixup.
+// relocatable arena file and restore it with one mmap, an IR decode and
+// build()'s lowering pass.
 //
-// What "restore" means here: the heavy precomputed arrays — flattened
-// as-set memberships, per-prefix origin lists, customer cones, route-set
-// length intervals — are *not* copied out of the file; the restored
-// snapshot's spans point straight into the read-only mapping. The small
-// structures that carry pointers into the IR (rule arrays, the regex table)
-// are rebuilt from the file's binary IR by ordinal fixup: the i-th stored
-// rule of AS n binds to `&ir.aut_nums.at(n).imports[i]`, and NFA images
-// pair positionally with the deterministic filter-walk order the compiler
-// itself uses. No RPSL parsing, no set flattening, no cone computation, and
-// no NFA construction happens on the load path.
+// What the file holds: the inputs (binary IR, relationship links) and the
+// closures that cost real work to derive — flattened as-set memberships,
+// per-prefix origin lists, route-set length intervals, customer cones. Those
+// closures are *not* copied out of the file; the restored snapshot's spans
+// point straight into the read-only mapping.
+//
+// What "restore" derives: everything that is a pure function of the IR and
+// relations — the set-name symbol table, every CompiledRule, the §5.1.2
+// only-provider bits and every AS-path NFA — by running the same lowering
+// step CompiledPolicySnapshot::build() runs. No RPSL parsing, no set
+// flattening and no cone computation happens on the load path.
 //
 // Lifetime: open_snapshot() returns an aliasing shared_ptr whose control
 // block owns the whole LoadedCorpus (mapping, decoded IR, index,
@@ -57,7 +59,7 @@ class SnapshotCodec {
   static void write(const compile::CompiledPolicySnapshot& snap, ArenaWriter& writer);
 
   /// Rebuild a snapshot over `view`. `index` must wrap the ir::Ir decoded
-  /// from this same view (ordinal fixups bind rule pointers into it), and
+  /// from this same view (the closure tables are checked against it), and
   /// the caller must keep `view` alive for the snapshot's lifetime.
   static std::shared_ptr<const compile::CompiledPolicySnapshot> restore(
       const ArenaView& view, std::shared_ptr<const irr::Index> index,

@@ -87,6 +87,37 @@ net::PrefixRange decode_prefix_range(ByteReader& r) {
 
 // --- AS-path regexes -------------------------------------------------------
 
+void encode_re_token(ByteWriter& w, const ir::ReToken& token) {
+  w.u8(static_cast<std::uint8_t>(token.kind));
+  w.u32(token.asn);
+  w.str(token.as_set);
+  w.u8(token.complemented ? 1 : 0);
+  encode_count(w, token.items.size());
+  for (const ir::ReSetItem& item : token.items) {
+    w.u8(static_cast<std::uint8_t>(item.kind));
+    w.u32(item.asn);
+    w.u32(item.asn_hi);
+    w.str(item.as_set);
+  }
+}
+
+ir::ReToken decode_re_token(ByteReader& r) {
+  ir::ReToken token;
+  token.kind = static_cast<ir::ReToken::Kind>(checked_tag(r, 4, "regex token"));
+  token.asn = r.u32();
+  token.as_set = r.str();
+  token.complemented = r.u8() != 0;
+  decode_elements_into(r, token.items, [&] {
+    ir::ReSetItem item;
+    item.kind = static_cast<ir::ReSetItem::Kind>(checked_tag(r, 3, "regex set item"));
+    item.asn = r.u32();
+    item.asn_hi = r.u32();
+    item.as_set = r.str();
+    token.items.push_back(std::move(item));
+  });
+  return token;
+}
+
 void encode_regex_node(ByteWriter& w, const ir::AsPathRegexNode& node);
 
 ir::AsPathRegexNode decode_regex_node(ByteReader& r);
@@ -728,37 +759,6 @@ net::RangeOp decode_range_op(ByteReader& r) {
   op.n = r.u8();
   op.m = r.u8();
   return op;
-}
-
-void encode_re_token(ByteWriter& w, const ir::ReToken& token) {
-  w.u8(static_cast<std::uint8_t>(token.kind));
-  w.u32(token.asn);
-  w.str(token.as_set);
-  w.u8(token.complemented ? 1 : 0);
-  encode_count(w, token.items.size());
-  for (const ir::ReSetItem& item : token.items) {
-    w.u8(static_cast<std::uint8_t>(item.kind));
-    w.u32(item.asn);
-    w.u32(item.asn_hi);
-    w.str(item.as_set);
-  }
-}
-
-ir::ReToken decode_re_token(ByteReader& r) {
-  ir::ReToken token;
-  token.kind = static_cast<ir::ReToken::Kind>(checked_tag(r, 4, "regex token"));
-  token.asn = r.u32();
-  token.as_set = r.str();
-  token.complemented = r.u8() != 0;
-  decode_elements_into(r, token.items, [&] {
-    ir::ReSetItem item;
-    item.kind = static_cast<ir::ReSetItem::Kind>(checked_tag(r, 3, "regex set item"));
-    item.asn = r.u32();
-    item.asn_hi = r.u32();
-    item.as_set = r.str();
-    token.items.push_back(std::move(item));
-  });
-  return token;
 }
 
 void encode_ir(ByteWriter& w, const ir::Ir& ir) {

@@ -14,10 +14,6 @@ namespace rpslyzer::persist {
 void encode_ir(ByteWriter& w, const ir::Ir& ir);
 ir::Ir decode_ir(ByteReader& r);
 
-// Shared with the NFA section codec (regex tokens appear in both).
-void encode_re_token(ByteWriter& w, const ir::ReToken& token);
-ir::ReToken decode_re_token(ByteReader& r);
-
 void encode_prefix(ByteWriter& w, const net::Prefix& p);
 net::Prefix decode_prefix(ByteReader& r);
 

@@ -1,6 +1,7 @@
 #include "rpslyzer/persist/snapshot_io.hpp"
 
 #include <chrono>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -9,66 +10,12 @@
 #include "rpslyzer/obs/log.hpp"
 #include "rpslyzer/obs/metrics.hpp"
 #include "rpslyzer/obs/trace.hpp"
-#include "rpslyzer/util/strings.hpp"
 
 namespace rpslyzer::persist {
 
 namespace {
 
 using compile::CompiledPolicySnapshot;
-
-// --- deterministic AS-path filter walk -------------------------------------
-// Mirrors the compiler's build order exactly (aut-nums ascending, imports
-// then exports, factor order, And/Or left before right, then filter-set
-// bodies in name order), so NFA images written positionally at save time
-// bind to the right ir::FilterAsPath node at restore time.
-
-void collect_filter(const ir::Filter& filter, std::vector<const ir::FilterAsPath*>& out) {
-  std::visit(util::overloaded{
-                 [&](const ir::FilterAsPath& f) { out.push_back(&f); },
-                 [&](const ir::FilterAnd& f) {
-                   collect_filter(*f.left, out);
-                   collect_filter(*f.right, out);
-                 },
-                 [&](const ir::FilterOr& f) {
-                   collect_filter(*f.left, out);
-                   collect_filter(*f.right, out);
-                 },
-                 [&](const ir::FilterNot& f) { collect_filter(*f.inner, out); },
-                 [&](const auto&) {},
-             },
-             filter.node);
-}
-
-void collect_entry(const ir::Entry& entry, std::vector<const ir::FilterAsPath*>& out) {
-  std::visit(util::overloaded{
-                 [&](const ir::EntryTerm& term) {
-                   for (const auto& factor : term.factors) collect_filter(factor.filter, out);
-                 },
-                 [&](const ir::EntryExcept& e) {
-                   collect_entry(*e.left, out);
-                   collect_entry(*e.right, out);
-                 },
-                 [&](const ir::EntryRefine& e) {
-                   collect_entry(*e.left, out);
-                   collect_entry(*e.right, out);
-                 },
-             },
-             entry.node);
-}
-
-std::vector<const ir::FilterAsPath*> collect_aspath_filters(const ir::Ir& ir) {
-  std::vector<const ir::FilterAsPath*> out;
-  for (const auto& [asn, an] : ir.aut_nums) {
-    for (const ir::Rule& rule : an.imports) collect_entry(rule.entry, out);
-    for (const ir::Rule& rule : an.exports) collect_entry(rule.entry, out);
-  }
-  for (const auto& [name, set] : ir.filter_sets) {
-    if (set.has_filter) collect_filter(set.filter, out);
-    if (set.has_mp_filter) collect_filter(set.mp_filter, out);
-  }
-  return out;
-}
 
 // --- metrics ---------------------------------------------------------------
 
@@ -122,26 +69,6 @@ decltype(auto) with_section(const ArenaView& view, SectionId id, Fn&& fn) {
 
 void SnapshotCodec::write(const CompiledPolicySnapshot& snap, ArenaWriter& writer) {
   const ir::Ir& ir = snap.index_->ir();
-
-  // Interned symbols: offset table + blob, id = position (the fold-mode
-  // interner assigns ids dense from 0 in intern order, so iterating ids
-  // reproduces the old name-vector layout byte for byte).
-  {
-    ByteWriter w;
-    const std::uint32_t symbol_count = snap.symbols_.size();
-    w.u32(symbol_count);
-    std::uint32_t offset = 0;
-    for (std::uint32_t id = 0; id < symbol_count; ++id) {
-      w.u32(offset);
-      offset += static_cast<std::uint32_t>(snap.symbols_.view({id}).size());
-    }
-    w.u32(offset);
-    for (std::uint32_t id = 0; id < symbol_count; ++id) {
-      const std::string_view name = snap.symbols_.view({id});
-      w.bytes(std::as_bytes(std::span<const char>(name.data(), name.size())));
-    }
-    writer.add_section(SectionId::kSymbols, std::move(w));
-  }
 
   {
     ByteWriter w;
@@ -268,69 +195,27 @@ void SnapshotCodec::write(const CompiledPolicySnapshot& snap, ArenaWriter& write
     writer.add_section(SectionId::kRouteSets, std::move(w));
   }
 
-  // aut-nums ascending; rules positionally (the restore side binds rule i
-  // back to an.imports[i]/an.exports[i] of the decoded IR).
+  // Customer cones, aut-nums ascending. Rules and only-provider bits are
+  // not stored: restore re-derives them from the IR.
   {
     ByteWriter pool;
     ByteWriter w;
-    w.u32(static_cast<std::uint32_t>(snap.aut_nums_.size()));
+    w.u32(static_cast<std::uint32_t>(ir.aut_nums.size()));
     std::uint64_t offset = 0;
     for (const auto& [asn, an] : ir.aut_nums) {
       auto it = snap.aut_nums_.find(asn);
       if (it == snap.aut_nums_.end()) {
         throw SnapshotError("snapshot writer: aut-num missing from compiled tables");
       }
-      const compile::CompiledAutNum& can = it->second;
+      const std::span<const ir::Asn> cone = it->second.customer_cone;
       w.u32(asn);
-      w.u8(can.only_provider ? 1 : 0);
       w.u64(offset);
-      w.u64(can.customer_cone.size());
-      for (ir::Asn member : can.customer_cone) pool.u32(member);
-      offset += can.customer_cone.size();
-      for (const auto* rules : {&can.imports, &can.exports}) {
-        w.u32(static_cast<std::uint32_t>(rules->size()));
-        for (const compile::CompiledRule& rule : *rules) {
-          w.u8(static_cast<std::uint8_t>((rule.covers_v4 ? 1u : 0u) |
-                                         (rule.covers_v6 ? 2u : 0u) | (rule.simple ? 4u : 0u) |
-                                         (rule.no_factors ? 8u : 0u)));
-          w.u32(static_cast<std::uint32_t>(rule.peers.size()));
-          for (ir::Asn peer : rule.peers) w.u32(peer);
-          w.u32(static_cast<std::uint32_t>(rule.no_match_asns.size()));
-          for (ir::Asn peer : rule.no_match_asns) w.u32(peer);
-        }
-      }
+      w.u64(cone.size());
+      for (ir::Asn member : cone) pool.u32(member);
+      offset += cone.size();
     }
     writer.add_section(SectionId::kConePool, std::move(pool));
     writer.add_section(SectionId::kAutNums, std::move(w));
-  }
-
-  // NFA images, positionally matched to the deterministic filter walk.
-  {
-    const std::vector<const ir::FilterAsPath*> filters = collect_aspath_filters(ir);
-    ByteWriter w;
-    w.u32(static_cast<std::uint32_t>(filters.size()));
-    for (const ir::FilterAsPath* filter : filters) {
-      auto it = snap.regexes_.find(filter);
-      if (it == snap.regexes_.end()) {
-        throw SnapshotError("snapshot writer: AS-path filter missing from regex table");
-      }
-      const aspath::NfaImage image = it->second.regex.image();
-      w.u8(it->second.skipped ? 1 : 0);
-      w.u8(image.unsupported ? 1 : 0);
-      w.i32(image.start);
-      w.i32(image.accept);
-      w.u32(static_cast<std::uint32_t>(image.state_offsets.size()));
-      for (std::uint32_t off : image.state_offsets) w.u32(off);
-      w.u32(static_cast<std::uint32_t>(image.edges.size()));
-      for (const aspath::NfaImage::Edge& edge : image.edges) {
-        w.u8(edge.kind);
-        w.i32(edge.token);
-        w.i32(edge.to);
-      }
-      w.u32(static_cast<std::uint32_t>(image.tokens.size()));
-      for (const ir::ReToken& token : image.tokens) encode_re_token(w, token);
-    }
-    writer.add_section(SectionId::kNfa, std::move(w));
   }
 }
 
@@ -348,25 +233,13 @@ std::shared_ptr<const CompiledPolicySnapshot> SnapshotCodec::restore(
   snap->source_ = std::move(source);
   const ir::Ir& ir = snap->index_->ir();
 
-  with_section(view, SectionId::kSymbols, [&] {
-    ByteReader r(view.section(SectionId::kSymbols));
-    const std::uint32_t count = r.u32();
-    std::vector<std::uint32_t> offsets(count + 1);
-    for (std::uint32_t i = 0; i <= count; ++i) offsets[i] = r.u32();
-    snap->symbols_.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      if (offsets[i] > offsets[i + 1] || offsets[i + 1] - offsets[i] > r.remaining()) {
-        throw SnapshotError("snapshot symbol table offsets out of bounds");
-      }
-      const std::string name = r.chars(offsets[i + 1] - offsets[i]);
-      // Fold-mode ids are dense in intern order; a well-formed file interns
-      // to exactly id = position. Two case-folded-equal names in one file
-      // would collapse to one id — corrupt, so reject.
-      if (snap->symbols_.intern(name).id != i) {
-        throw SnapshotError("snapshot symbol table has case-colliding names");
-      }
-    }
-  });
+  // Everything that is a pure function of the IR and relations comes from
+  // build()'s own lowering step; the file supplies only the closures below,
+  // keyed by the symbol ids that step assigns.
+  snap->lower_policies();
+  const auto names_set_in = [&](compile::SymbolId id, const auto& sets) {
+    return id < snap->symbols_.size() && sets.contains(snap->symbols_.view({id}));
+  };
 
   with_section(view, SectionId::kAsSets, [&] {
     std::span<const ir::Asn> pool = view.pool<ir::Asn>(SectionId::kAsSetPool);
@@ -378,7 +251,10 @@ std::shared_ptr<const CompiledPolicySnapshot> SnapshotCodec::restore(
       const std::uint32_t flags = r.u32();
       const std::uint64_t off = r.u64();
       const std::uint64_t n = r.u64();
-      if (id >= snap->symbols_.size() || off > pool.size() || n > pool.size() - off) {
+      if (!names_set_in(id, ir.as_sets)) {
+        throw SnapshotError("snapshot as-set entry names no as-set of its IR");
+      }
+      if (off > pool.size() || n > pool.size() - off) {
         throw SnapshotError("snapshot as-set entry out of bounds");
       }
       compile::CompiledAsSet set;
@@ -414,8 +290,8 @@ std::shared_ptr<const CompiledPolicySnapshot> SnapshotCodec::restore(
       const compile::SymbolId id = r.u32();
       const std::uint32_t flags = r.u32();
       const std::uint64_t bases = r.u64();
-      if (id >= snap->symbols_.size()) {
-        throw SnapshotError("snapshot route-set symbol out of bounds");
+      if (!names_set_in(id, ir.route_sets)) {
+        throw SnapshotError("snapshot route-set entry names no route-set of its IR");
       }
       compile::CompiledRouteSet set;
       set.any = (flags & 1u) != 0;
@@ -436,91 +312,31 @@ std::shared_ptr<const CompiledPolicySnapshot> SnapshotCodec::restore(
   with_section(view, SectionId::kAutNums, [&] {
     std::span<const ir::Asn> pool = view.pool<ir::Asn>(SectionId::kConePool);
     ByteReader r(view.section(SectionId::kAutNums));
+    // Strictly ascending ASNs, each an aut-num of the IR, as many as the IR
+    // holds: one cone per aut-num, none omitted and none invented.
     const std::uint32_t count = r.u32();
-    if (count != ir.aut_nums.size()) {
-      throw SnapshotError("snapshot aut-num table disagrees with its own IR");
+    if (count != snap->aut_nums_.size()) {
+      throw SnapshotError("snapshot cone table has " + std::to_string(count) +
+                          " entries for " + std::to_string(snap->aut_nums_.size()) +
+                          " aut-nums in its IR");
     }
-    snap->aut_nums_.reserve(count);
+    std::optional<ir::Asn> previous;
     for (std::uint32_t i = 0; i < count; ++i) {
       const ir::Asn asn = r.u32();
-      auto an_it = ir.aut_nums.find(asn);
-      if (an_it == ir.aut_nums.end()) {
-        throw SnapshotError("snapshot aut-num entry names an unknown AS");
-      }
-      const ir::AutNum& an = an_it->second;
-      compile::CompiledAutNum can;
-      can.an = &an;
-      can.only_provider = r.u8() != 0;
       const std::uint64_t off = r.u64();
       const std::uint64_t n = r.u64();
+      auto it = snap->aut_nums_.find(asn);
+      if (it == snap->aut_nums_.end()) {
+        throw SnapshotError("snapshot cone table names an AS absent from its IR");
+      }
+      if (previous && asn <= *previous) {
+        throw SnapshotError("snapshot cone table is not strictly ascending");
+      }
+      previous = asn;
       if (off > pool.size() || n > pool.size() - off) {
         throw SnapshotError("snapshot customer cone out of bounds");
       }
-      can.customer_cone = pool.subspan(off, n);
-      for (auto [rules, source_rules] :
-           {std::pair{&can.imports, &an.imports}, std::pair{&can.exports, &an.exports}}) {
-        const std::uint32_t rule_count = r.u32();
-        if (rule_count != source_rules->size()) {
-          throw SnapshotError("snapshot rule count disagrees with its own IR");
-        }
-        rules->reserve(rule_count);
-        for (std::uint32_t j = 0; j < rule_count; ++j) {
-          compile::CompiledRule rule;
-          rule.rule = &(*source_rules)[j];
-          const std::uint8_t flags = r.u8();
-          rule.covers_v4 = (flags & 1u) != 0;
-          rule.covers_v6 = (flags & 2u) != 0;
-          rule.simple = (flags & 4u) != 0;
-          rule.no_factors = (flags & 8u) != 0;
-          const std::uint32_t peer_count = r.u32();
-          rule.peers.reserve(peer_count);
-          for (std::uint32_t k = 0; k < peer_count; ++k) rule.peers.push_back(r.u32());
-          const std::uint32_t nm_count = r.u32();
-          rule.no_match_asns.reserve(nm_count);
-          for (std::uint32_t k = 0; k < nm_count; ++k) rule.no_match_asns.push_back(r.u32());
-          rules->push_back(std::move(rule));
-        }
-      }
-      snap->aut_nums_.emplace(asn, std::move(can));
-    }
-  });
-
-  with_section(view, SectionId::kNfa, [&] {
-    const std::vector<const ir::FilterAsPath*> filters = collect_aspath_filters(ir);
-    ByteReader r(view.section(SectionId::kNfa));
-    const std::uint32_t count = r.u32();
-    if (count != filters.size()) {
-      throw SnapshotError("snapshot NFA table disagrees with its own IR");
-    }
-    snap->regexes_.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      const bool skipped = r.u8() != 0;
-      aspath::NfaImage image;
-      image.unsupported = r.u8() != 0;
-      image.start = r.i32();
-      image.accept = r.i32();
-      const std::uint32_t offsets = r.u32();
-      image.state_offsets.reserve(offsets);
-      for (std::uint32_t j = 0; j < offsets; ++j) image.state_offsets.push_back(r.u32());
-      const std::uint32_t edges = r.u32();
-      image.edges.reserve(edges);
-      for (std::uint32_t j = 0; j < edges; ++j) {
-        aspath::NfaImage::Edge edge;
-        edge.kind = r.u8();
-        edge.token = r.i32();
-        edge.to = r.i32();
-        image.edges.push_back(edge);
-      }
-      const std::uint32_t tokens = r.u32();
-      image.tokens.reserve(tokens);
-      for (std::uint32_t j = 0; j < tokens; ++j) image.tokens.push_back(decode_re_token(r));
-      try {
-        snap->regexes_.emplace(filters[i],
-                               CompiledPolicySnapshot::CompiledAsPath{
-                                   aspath::CompiledRegex(image), skipped});
-      } catch (const std::invalid_argument& e) {
-        throw SnapshotError(std::string("snapshot NFA image invalid: ") + e.what());
-      }
+      it->second.customer_cone = pool.subspan(off, n);
     }
   });
 

@@ -18,6 +18,7 @@
 #include "rpslyzer/obs/metrics.hpp"
 #include "rpslyzer/obs/trace.hpp"
 #include "rpslyzer/persist/arena.hpp"
+#include "rpslyzer/util/backoff.hpp"
 #include "rpslyzer/util/failpoint.hpp"
 
 namespace rpslyzer::repl {
@@ -288,8 +289,8 @@ void ReplicationClient::run() {
         failures_ = 0;
         next_poll = clock::now() + config_.poll_interval;
       } else {
-        const auto delay = reconnect_backoff(failures_, config_.backoff_initial,
-                                             config_.backoff_max, seed_);
+        const auto delay = util::backoff(failures_, config_.backoff_initial,
+                                         config_.backoff_max, seed_ ^ kReconnectJitterStream);
         ++failures_;
         next_poll = clock::now() + delay;
       }

@@ -94,16 +94,11 @@ struct MetricDigest {
 std::string render_digest(const MetricDigest& digest);
 std::optional<MetricDigest> parse_digest(std::string_view token);
 
-/// Deterministic capped exponential backoff with multiplicative jitter in
-/// [0.75, 1.25]·step — the edge's reconnect schedule after a failed sync
-/// or heartbeat. Attempt 0 ≈ initial, doubling up to `max_backoff`. Pure:
-/// the whole retry ladder is unit-testable without a clock, mirroring
-/// server::reload_backoff (same contract, independent jitter stream so an
-/// edge's reconnects do not phase-lock with its server's reload retries).
-std::chrono::milliseconds reconnect_backoff(unsigned attempt,
-                                            std::chrono::milliseconds initial,
-                                            std::chrono::milliseconds max_backoff,
-                                            std::uint64_t seed) noexcept;
+/// Seed perturbation ("repl.req") for the edge's reconnect ladder: the edge
+/// schedules through util::backoff with `seed ^ kReconnectJitterStream`, the
+/// server's reload retries with the bare seed, so an edge daemon running
+/// both does not retry its origin and its local reload in phase.
+inline constexpr std::uint64_t kReconnectJitterStream = 0x7265706c2e726571ULL;
 
 /// Jittered heartbeat period: base scaled into [0.80, 1.20], deterministic
 /// in (seed, tick). Jitter is load-bearing fleet hygiene — N edges started

@@ -19,25 +19,6 @@ std::uint64_t mix(std::uint64_t seed, std::uint64_t counter) noexcept {
 
 }  // namespace
 
-std::chrono::milliseconds reconnect_backoff(unsigned attempt,
-                                            std::chrono::milliseconds initial,
-                                            std::chrono::milliseconds max_backoff,
-                                            std::uint64_t seed) noexcept {
-  if (initial.count() <= 0) initial = std::chrono::milliseconds(1);
-  if (max_backoff < initial) max_backoff = initial;
-  const std::uint64_t cap = static_cast<std::uint64_t>(max_backoff.count());
-  std::uint64_t base = static_cast<std::uint64_t>(initial.count());
-  for (unsigned i = 0; i < attempt && base < cap; ++i) base *= 2;
-  base = std::min(base, cap);
-  // The stream constant distinguishes this ladder from reload_backoff's
-  // (which hashes the bare attempt): an edge daemon running both must not
-  // retry its origin and its local reload in phase.
-  const std::uint64_t z = mix(seed ^ 0x7265706c2e726571ULL,  // "repl.req"
-                              static_cast<std::uint64_t>(attempt));
-  const std::uint64_t jittered = base * (750 + z % 501) / 1000;
-  return std::chrono::milliseconds(std::clamp<std::uint64_t>(jittered, 1, cap));
-}
-
 std::chrono::milliseconds heartbeat_interval(std::chrono::milliseconds base,
                                              std::uint64_t seed,
                                              std::uint64_t tick) noexcept {

@@ -18,12 +18,12 @@
 //     every stale entry without pausing service;
 //   * `!stats` reports connections, query counts, cache hit ratio, and
 //     p50/p99 service latency; an optional periodic log line mirrors it;
-//   * stop() drains in-flight responses (bounded by drain_timeout) before
+//   * stop() drains in-flight responses (bounded by 5 s) before
 //     closing sockets and joining every thread — no leaks under ASan/TSan.
 //
 // Degraded-mode serving: a failed reload never takes the daemon down — the
 // last good generation stays live, the event loop schedules retries with
-// capped exponential backoff + jitter (reload_backoff), and `!health`
+// capped exponential backoff + jitter (util::backoff), and `!health`
 // reports healthy / degraded(reason, stale age) / loading. Per-query
 // deadlines (`query_deadline`) answer overdue queries with `F timeout`
 // while the stalled worker's late result is discarded, and slow clients
@@ -84,11 +84,9 @@ struct ServerConfig {
   std::uint16_t port = 0;  // 0 = ephemeral; see Server::port() after start()
   unsigned worker_threads = 4;  // 0 = hardware concurrency
   std::size_t cache_capacity = 16384;  // cached responses (0 disables)
-  std::size_t cache_shards = 8;
   std::size_t max_connections = 1024;  // beyond this, accept+refuse
   std::size_t max_line_bytes = 4096;   // longest accepted query line
   std::chrono::milliseconds idle_timeout{30000};  // 0 = never
-  std::chrono::milliseconds drain_timeout{5000};  // graceful-shutdown budget
   std::chrono::milliseconds stats_log_interval{0};  // 0 = no periodic line
 
   // Robustness knobs (PR 2). Deadlines and stall handling are enforced on
@@ -137,14 +135,6 @@ struct HealthStatus {
   bool reload_in_flight = false;
 };
 
-/// Deterministic capped exponential backoff with multiplicative jitter in
-/// [0.75, 1.25]·step: attempt 0 ≈ initial, doubling up to `max_backoff`.
-/// Pure — the retry schedule is unit-testable without a clock.
-std::chrono::milliseconds reload_backoff(unsigned attempt,
-                                         std::chrono::milliseconds initial,
-                                         std::chrono::milliseconds max_backoff,
-                                         std::uint64_t seed) noexcept;
-
 class Server {
  public:
   Server(ServerConfig config, CorpusLoader loader);
@@ -158,7 +148,7 @@ class Server {
   bool start(std::string* error = nullptr);
 
   /// Graceful shutdown: stop accepting, drain in-flight responses (up to
-  /// drain_timeout), close every socket, join every thread. Idempotent.
+  /// 5 s), close every socket, join every thread. Idempotent.
   void stop();
 
   /// Block until stop() or request_stop() completes the shutdown.

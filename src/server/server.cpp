@@ -22,8 +22,8 @@
 #include "rpslyzer/obs/log.hpp"
 #include "rpslyzer/obs/trace.hpp"
 #include "rpslyzer/query/query.hpp"
+#include "rpslyzer/util/backoff.hpp"
 #include "rpslyzer/util/failpoint.hpp"
-#include "rpslyzer/util/rand.hpp"
 #include "rpslyzer/util/strings.hpp"
 #include "rpslyzer/verify/verifier.hpp"
 
@@ -38,6 +38,8 @@ constexpr std::uint64_t kWakeTag = 2;
 constexpr int kMaxEvents = 64;
 constexpr auto kSweepGranularity = std::chrono::milliseconds(100);
 constexpr std::uint32_t kMaxFlightDumps = 16;  // post-mortem files per run
+constexpr std::size_t kCacheShards = 8;
+constexpr std::chrono::milliseconds kDrainTimeout{5000};  // graceful-shutdown budget
 
 double seconds_between(std::chrono::steady_clock::time_point a,
                        std::chrono::steady_clock::time_point b) {
@@ -69,24 +71,6 @@ const char* to_string(Health h) noexcept {
       return "degraded";
   }
   return "?";
-}
-
-std::chrono::milliseconds reload_backoff(unsigned attempt,
-                                         std::chrono::milliseconds initial,
-                                         std::chrono::milliseconds max_backoff,
-                                         std::uint64_t seed) noexcept {
-  if (initial.count() <= 0) initial = std::chrono::milliseconds(1);
-  if (max_backoff < initial) max_backoff = initial;
-  const std::uint64_t cap = static_cast<std::uint64_t>(max_backoff.count());
-  std::uint64_t base = static_cast<std::uint64_t>(initial.count());
-  for (unsigned i = 0; i < attempt && base < cap; ++i) base *= 2;
-  base = std::min(base, cap);
-  // splitmix64 over (seed, attempt): deterministic jitter in [0.75, 1.25].
-  const std::uint64_t z =
-      util::splitmix64_at(seed, static_cast<std::uint64_t>(attempt));
-  const std::uint64_t jittered = base * (750 + z % 501) / 1000;
-  return std::chrono::milliseconds(
-      std::clamp<std::uint64_t>(jittered, 1, cap));
 }
 
 /// Per-connection state, touched only by the event-loop thread. Pipelined
@@ -127,7 +111,7 @@ struct Server::Connection {
 Server::Server(ServerConfig config, CorpusLoader loader)
     : config_(std::move(config)),
       loader_(std::move(loader)),
-      cache_(config_.cache_capacity, config_.cache_shards),
+      cache_(config_.cache_capacity, kCacheShards),
       flight_(config_.flight_capacity),
       flight_epoch_(std::chrono::steady_clock::now()),
       stats_(registry_, config_.latency_bounds) {
@@ -843,7 +827,7 @@ void Server::event_loop() {
 
 void Server::begin_shutdown() {
   shutting_down_ = true;
-  drain_deadline_ = std::chrono::steady_clock::now() + config_.drain_timeout;
+  drain_deadline_ = std::chrono::steady_clock::now() + kDrainTimeout;
   if (listen_fd_ >= 0) {
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
     ::close(listen_fd_);
@@ -1331,8 +1315,8 @@ void Server::maybe_schedule_retry(std::chrono::steady_clock::time_point now) {
     if (!retry_armed_) {
       const unsigned attempt = reload_attempts_ > 0 ? reload_attempts_ - 1 : 0;
       const auto delay =
-          reload_backoff(attempt, config_.reload_retry_initial,
-                         config_.reload_retry_max, generation());
+          util::backoff(attempt, config_.reload_retry_initial,
+                        config_.reload_retry_max, generation());
       retry_at_ = now + delay;
       retry_armed_ = true;
       return;

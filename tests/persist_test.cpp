@@ -11,9 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <unistd.h>
 
@@ -158,6 +160,205 @@ TEST(PersistRoundTrip, QueryResponsesAreByteIdentical) {
     if (++compared >= 160) break;
   }
   EXPECT_GT(compared, 96u);
+}
+
+// ---------------------------------------------------------------------------
+// Re-derived AS-path regexes over a hand-written multi-IRR corpus
+// ---------------------------------------------------------------------------
+// The file stores no rule tables and no NFAs: open re-derives both from the
+// decoded IR. This corpus puts AS-path filters everywhere a rule can hold
+// one — import, export and mp-import; inside AND/OR/NOT; on both sides of
+// EXCEPT and REFINE; in a filter-set's filter and mp-filter — plus a `~+`
+// regex (no NFA: backtracking fallback) and an ASN-range class (Skipped
+// when paper-faithful).
+
+constexpr const char* kRipeDump =
+    "aut-num: AS64500\n"
+    "import: from AS64501 accept <^AS64501+$>\n"
+    "import: from AS64502 accept <^AS64502 AS64503*$> AND NOT <AS64666>\n"
+    "import: from AS64503 accept <^AS64503$> OR AS-CUST\n"
+    "import: from AS64504 accept <^AS64504+$>; EXCEPT from AS64504 accept <^AS64504 AS64666$>\n"
+    "import: from AS64505 accept FLTR-PATHS\n"
+    "export: to AS64501 announce <^AS64500 [AS64512-AS65535]*$>\n"
+    "export: to AS64502 announce AS64500 OR <^AS64500 AS-CUST~+$>\n"
+    "mp-import: afi ipv6.unicast from AS64501 accept <^AS64501 .*$>\n"
+    "mp-import: afi any.unicast from AS64503 accept NOT <AS64666>; "
+    "REFINE afi any.unicast from AS64503 accept <^AS64503 [AS64512-AS65535]*$>\n\n"
+    "as-set: AS-CUST\nmembers: AS64510, AS64511\n\n"
+    "route-set: RS-CUST\nmembers: 192.0.2.0/24^+\n\n"
+    "filter-set: FLTR-PATHS\n"
+    "filter: <^AS64505 AS-CUST*$>\n"
+    "mp-filter: <^AS64505 AS-CUST~+$>\n\n"
+    "route: 192.0.2.0/24\norigin: AS64510\n";
+
+constexpr const char* kRadbDump =
+    "aut-num: AS64501\n"
+    "import: from AS64500 accept NOT <AS64666>\n"
+    "export: to AS64500 announce <^AS64501+ AS-CUST$>\n\n"
+    "route: 198.51.100.0/24\norigin: AS64511\n\n"
+    "route6: 2001:db8::/32\norigin: AS64510\n";
+
+// AS-path filters in the two dumps above (13 in AS64500's rules and the
+// filter-set, 2 in AS64501's).
+constexpr std::size_t kRegexFilters = 15;
+
+struct RegexCorpus {
+  Rpslyzer lyzer;
+  std::vector<bgp::Route> routes;
+  std::filesystem::path snap_path;
+
+  RegexCorpus()
+      : lyzer(Rpslyzer::from_texts({{"RIPE", kRipeDump}, {"RADB", kRadbDump}},
+                                   "64501|64500|-1\n64500|64502|-1\n64500|64503|0\n"
+                                   "64501|64510|-1\n64503|64511|-1\n")) {
+    // Every path of 2-4 hops without repeats over the ASes the rules name.
+    const std::vector<ir::Asn> ases = {64500, 64501, 64502, 64503, 64504,
+                                       64505, 64510, 64511, 64666, 65000};
+    std::vector<std::vector<ir::Asn>> paths;
+    for (ir::Asn a : ases) paths.push_back({a});
+    for (std::size_t start = 0, len = 1; len < 4; ++len) {
+      const std::size_t end = paths.size();
+      for (std::size_t i = start; i < end; ++i) {
+        for (ir::Asn next : ases) {
+          if (next == paths[i].back()) continue;
+          std::vector<ir::Asn> path = paths[i];
+          path.push_back(next);
+          paths.push_back(std::move(path));
+        }
+      }
+      start = end;
+    }
+    for (const char* prefix : {"192.0.2.0/24", "198.51.100.0/24", "2001:db8::/32"}) {
+      for (const auto& path : paths) {
+        if (path.size() > 1) routes.push_back({*net::Prefix::parse(prefix), path});
+      }
+    }
+    snap_path = std::filesystem::temp_directory_path() /
+                ("rpslyzer-persist-regex-" + std::to_string(::getpid()) + ".rps");
+    persist::write_snapshot(*lyzer.snapshot(), snap_path);
+  }
+  ~RegexCorpus() { std::filesystem::remove(snap_path); }
+};
+
+RegexCorpus& regex_corpus() {
+  static RegexCorpus c;
+  return c;
+}
+
+TEST(PersistRegexRoundTrip, EveryRegexIsRederivedOnOpen) {
+  auto& c = regex_corpus();
+  auto loaded = persist::open_snapshot(c.snap_path);
+  EXPECT_EQ(c.lyzer.snapshot()->compiled_regexes(), kRegexFilters);
+  EXPECT_EQ(loaded->compiled_regexes(), kRegexFilters);
+  EXPECT_EQ(loaded->interned_symbols(), c.lyzer.snapshot()->interned_symbols());
+}
+
+TEST(PersistRegexRoundTrip, HopChecksMatchInMemoryInBothSkipModes) {
+  auto& c = regex_corpus();
+  auto loaded = persist::open_snapshot(c.snap_path);
+  for (const bool faithful : {true, false}) {
+    SCOPED_TRACE(faithful ? "paper_faithful_skips" : "engines evaluate everything");
+    verify::VerifyOptions options;
+    options.paper_faithful_skips = faithful;
+    verify::Verifier memory(c.lyzer.snapshot(), options);
+    verify::Verifier mapped(loaded, options);
+    std::set<verify::Status> seen;
+    for (std::size_t i = 0; i < c.routes.size(); ++i) {
+      const std::vector<verify::HopCheck> want = memory.verify_route(c.routes[i]);
+      expect_same_hops(mapped.verify_route(c.routes[i]), want, i);
+      if (::testing::Test::HasFailure()) return;
+      for (const auto& hop : want) {
+        seen.insert(hop.export_result.status);
+        seen.insert(hop.import_result.status);
+      }
+    }
+    // The corpus reaches more than one verdict class, or the comparison
+    // above would prove nothing about the regexes.
+    EXPECT_GE(seen.size(), 3u);
+    if (faithful) EXPECT_TRUE(seen.contains(verify::Status::kSkip));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Closure tables must agree with the decoded IR
+// ---------------------------------------------------------------------------
+// Files re-published through ArenaWriter keep a valid checksum, so only the
+// restore-side cross-check against the IR can refuse them.
+
+class PersistClosureMismatch : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    path_ = std::filesystem::temp_directory_path() /
+            ("rpslyzer-persist-mismatch-" + std::to_string(::getpid()) + ".rps");
+  }
+  void TearDown() override { std::filesystem::remove(path_); }
+
+  /// Copy the regex corpus's snapshot with `id`'s payload passed through
+  /// `edit`, then return open_snapshot's error (empty when it opened).
+  template <typename Edit>
+  std::string open_with_edited(persist::SectionId id, Edit edit) {
+    const persist::ArenaView view = persist::ArenaView::open(regex_corpus().snap_path);
+    persist::ArenaWriter writer;
+    for (std::uint32_t raw = 0; raw < 64; ++raw) {
+      const auto section = static_cast<persist::SectionId>(raw);
+      if (!view.has_section(section)) continue;
+      const std::span<const std::byte> bytes = view.section(section);
+      std::vector<std::byte> payload(bytes.begin(), bytes.end());
+      if (section == id) edit(payload);
+      writer.add_section(section, std::move(payload));
+    }
+    writer.write(path_, view.build_id());
+    try {
+      persist::open_snapshot(path_);
+    } catch (const persist::SnapshotError& e) {
+      return e.what();
+    }
+    return {};
+  }
+
+  static void put_u32(std::vector<std::byte>& bytes, std::size_t offset, std::uint32_t v) {
+    ASSERT_LE(offset + 4, bytes.size());
+    std::memcpy(bytes.data() + offset, &v, 4);
+  }
+
+  std::filesystem::path path_;
+};
+
+TEST_F(PersistClosureMismatch, UneditedCopyOpens) {
+  EXPECT_EQ(open_with_edited(persist::SectionId::kAutNums, [](auto&) {}), "");
+}
+
+TEST_F(PersistClosureMismatch, ConeEntryNamingAnAsOutsideTheIrIsRefused) {
+  // aut-nums layout: u32 count, then {u32 asn, u64 offset, u64 length}.
+  const std::string error =
+      open_with_edited(persist::SectionId::kAutNums,
+                       [](std::vector<std::byte>& b) { put_u32(b, 4, 4200000000u); });
+  EXPECT_NE(error.find("section aut-nums"), std::string::npos) << error;
+  EXPECT_NE(error.find("absent from its IR"), std::string::npos) << error;
+}
+
+TEST_F(PersistClosureMismatch, ConeTableOmittingAnAutNumIsRefused) {
+  const std::string error = open_with_edited(
+      persist::SectionId::kAutNums, [](std::vector<std::byte>& b) {
+        put_u32(b, 0, 1);  // keep only the first entry
+        b.resize(4 + 20);
+      });
+  EXPECT_NE(error.find("section aut-nums"), std::string::npos) << error;
+  EXPECT_NE(error.find("1 entries for 2 aut-nums"), std::string::npos) << error;
+}
+
+TEST_F(PersistClosureMismatch, AsSetEntryNamingARouteSetIsRefused) {
+  // Symbol ids are dense in intern order, as-sets first: the first id past
+  // the as-sets is the first route-set. as-sets layout: u32 count, then
+  // {u32 symbol id, u32 flags, u64 offset, u64 length}.
+  const ir::Ir& ir = regex_corpus().lyzer.ir();
+  ASSERT_FALSE(ir.route_sets.empty());
+  const auto route_set_id = static_cast<std::uint32_t>(ir.as_sets.size());
+  const std::string error =
+      open_with_edited(persist::SectionId::kAsSets,
+                       [&](std::vector<std::byte>& b) { put_u32(b, 4, route_set_id); });
+  EXPECT_NE(error.find("section as-sets"), std::string::npos) << error;
+  EXPECT_NE(error.find("names no as-set"), std::string::npos) << error;
 }
 
 // ---------------------------------------------------------------------------
@@ -316,10 +517,13 @@ TEST(PersistSectionContext, MissingSectionIsNamed) {
 }
 
 TEST(PersistSectionContext, SectionNamesCoverEveryId) {
-  for (std::uint32_t id = 1; id <= 12; ++id) {
+  for (std::uint32_t id = 2; id <= 11; ++id) {
     EXPECT_STRNE(persist::section_name(static_cast<persist::SectionId>(id)), "unknown");
   }
-  EXPECT_STREQ(persist::section_name(static_cast<persist::SectionId>(99)), "unknown");
+  // Format 1's symbols (1) and NFA (12) sections are retired.
+  for (const std::uint32_t id : {1u, 12u, 99u}) {
+    EXPECT_STREQ(persist::section_name(static_cast<persist::SectionId>(id)), "unknown");
+  }
 }
 
 // ---------------------------------------------------------------------------
