@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "rpslyzer/compile/snapshot.hpp"
 #include "rpslyzer/irr/loader.hpp"
 #include "rpslyzer/verify/verifier.hpp"
 
@@ -101,6 +102,91 @@ TEST(LatticeTriples, MatchAlwaysWins) {
       EXPECT_EQ(check_with_rules(rules), Status::kVerified) << a.name << "+" << b.name;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Item order when a later rule or branch outranks an earlier one. The best
+// outcome's items come first, then the rest's, de-duplicated; a discarded
+// branch contributes nothing. Pinned on both backends, which share the
+// evaluator but reach it through different rule loops.
+
+/// The import line of AS2's check of 10.0.0.0/8 from AS1, as reported by
+/// the interpreted and the snapshot backends (which must agree).
+std::string import_line(const std::string& rules) {
+  util::Diagnostics diag;
+  auto ir = std::make_shared<ir::Ir>(irr::parse_dump("aut-num: AS2\n" + rules, "TEST", diag));
+  auto index = std::make_shared<irr::Index>(*ir);
+  auto relations = std::make_shared<relations::AsRelations>();
+  const bgp::Route route{*net::Prefix::parse("10.0.0.0/8"), {2, 1}};
+  const std::string interpreted =
+      to_report_lines(Verifier(*index, *relations).verify_route(route)[0]);
+  const std::string compiled = to_report_lines(
+      Verifier(compile::CompiledPolicySnapshot::build(index, relations)).verify_route(route)[0]);
+  EXPECT_EQ(compiled, interpreted) << rules;
+  return interpreted.substr(interpreted.find('\n') + 1);
+}
+
+TEST(LatticeItemOrder, LaterFilterMismatchOutranksEarlierPeeringMismatch) {
+  EXPECT_EQ(import_line("import: from AS9 accept ANY\n"
+                        "import: from AS1 accept {192.0.2.0/24}\n"
+                        "import: from AS8 accept ANY\n"),
+            "BadImport { from: 1, to: 2, items: [MatchFilterPrefixes, MatchFilter, "
+            "MatchRemoteAsNum(9), MatchRemoteAsNum(8)] }\n");
+}
+
+TEST(LatticeItemOrder, LaterUnrecordedRuleDropsEarlierMismatchItems) {
+  EXPECT_EQ(import_line("import: from AS9 accept ANY\n"
+                        "import: from AS1 accept {192.0.2.0/24}\n"
+                        "import: from AS1 accept AS-GONE\n"),
+            "UnrecImport { from: 1, to: 2, items: [UnrecordedAsSet(\"AS-GONE\")] }\n");
+}
+
+TEST(LatticeItemOrder, ExceptDiscardsItsMismatchingException) {
+  // The exception (evaluated first) mismatches, so the left-hand side
+  // decides and only its items remain.
+  EXPECT_EQ(import_line("import: from AS9 accept ANY\n"
+                        "import: { from AS1 accept <^AS5$>; } EXCEPT "
+                        "{ from AS1 accept {192.0.2.0/24}; }\n"),
+            "BadImport { from: 1, to: 2, items: [MatchFilterAsPath, MatchFilter, "
+            "MatchRemoteAsNum(9)] }\n");
+}
+
+TEST(LatticeItemOrder, ExceptUnrecordedExceptionDecides) {
+  EXPECT_EQ(import_line("import: from AS9 accept ANY\n"
+                        "import: { from AS1 accept <^AS5$>; } EXCEPT "
+                        "{ from AS1 accept AS-GONE; }\n"),
+            "UnrecImport { from: 1, to: 2, items: [UnrecordedAsSet(\"AS-GONE\")] }\n");
+}
+
+TEST(LatticeItemOrder, RefineLaterPeeringMismatchDecidesAndLeads) {
+  // The right-hand side's peering mismatch is the weaker outcome, so its
+  // items lead even though it was evaluated second.
+  EXPECT_EQ(import_line("import: { from AS1 accept {192.0.2.0/24}; } REFINE "
+                        "{ from AS9 accept ANY; }\n"),
+            "BadImport { from: 1, to: 2, items: [MatchRemoteAsNum(9), "
+            "MatchFilterPrefixes, MatchFilter] }\n");
+  EXPECT_EQ(import_line("import: { from AS9 accept ANY; } REFINE "
+                        "{ from AS1 accept {192.0.2.0/24}; }\n"),
+            "BadImport { from: 1, to: 2, items: [MatchRemoteAsNum(9), "
+            "MatchFilterPrefixes, MatchFilter] }\n");
+}
+
+TEST(LatticeItemOrder, EarlierFilterMismatchOutranksLaterRefine) {
+  // Rule 1 (filter mismatch) beats rule 2 (a REFINE that resolves to a
+  // peering mismatch); rule 2's items follow, without the repeated
+  // MatchFilter.
+  EXPECT_EQ(import_line("import: from AS1 accept <^AS5$>\n"
+                        "import: { from AS1 accept {192.0.2.0/24}; } REFINE "
+                        "{ from AS9 accept ANY; }\n"),
+            "BadImport { from: 1, to: 2, items: [MatchFilterAsPath, MatchFilter, "
+            "MatchRemoteAsNum(9), MatchFilterPrefixes] }\n");
+}
+
+TEST(LatticeItemOrder, FilterAndPeeringBranchesKeepDeclarationOrder) {
+  EXPECT_EQ(import_line("import: from AS9 OR AS8 accept ANY\n"
+                        "import: from AS1 accept {192.0.2.0/24} OR <^AS5$>\n"),
+            "BadImport { from: 1, to: 2, items: [MatchFilterPrefixes, MatchFilterAsPath, "
+            "MatchFilter, MatchRemoteAsNum(9), MatchRemoteAsNum(8)] }\n");
 }
 
 }  // namespace
