@@ -7,12 +7,27 @@
 // rule arrays with a plain-ASN peer fast reject). A custom main()
 // hand-times both single-threaded, sweeps the snapshot path across
 // threads ∈ {1, 2, 4, 8}, and emits BENCH_verify.json (mirroring
-// perf_parsing's BENCH_parsing.json) with a ≥2× single-thread
-// snapshot-vs-interpreted speedup gate: compiling policies once must pay
-// for itself on every route thereafter.
+// perf_parsing's BENCH_parsing.json) with two gates:
+//
+//  * a ≥2× single-thread snapshot-vs-interpreted speedup: compiling
+//    policies once must pay for itself on every route thereafter
+//    (enforced on ≥4 hardware threads);
+//  * ≤10 heap allocations per route on the snapshot backend: rule
+//    evaluation writes into one scratch buffer per route, so only the
+//    hop vector, that buffer and each non-Verified check's exact-size
+//    item vector allocate. The count is deterministic, so this gate is
+//    enforced on every host.
+//
+// A per-thread ledger then splits the threaded runs: every worker reads
+// its own CLOCK_THREAD_CPUTIME_ID and counts the routes it verified, so a
+// route that costs more CPU on four threads than on one shows up as such
+// rather than as a flat speedup.
 
 #include <benchmark/benchmark.h>
 
+#include <time.h>
+
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <thread>
@@ -132,6 +147,89 @@ double time_snapshot(unsigned threads) {
   return best;
 }
 
+// ---------------------------------------------------------------------------
+// Allocation gate and per-thread ledger.
+
+constexpr double kMaxAllocationsPerRoute = 10.0;
+
+/// Heap allocations per route of one serial pass of `verifier`; the probe
+/// counts every operator new in the process, and nothing else runs.
+double allocations_per_route(const verify::Verifier& verifier) {
+  const auto& rs = routes();
+  const std::int64_t before = bench::allocation_count();
+  std::size_t checks = 0;
+  for (const auto& route : rs) checks += verifier.verify_route(route).size();
+  benchmark::DoNotOptimize(checks);
+  return static_cast<double>(bench::allocation_count() - before) /
+         static_cast<double>(rs.size());
+}
+
+double thread_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+struct ThreadLedger {
+  std::size_t routes = 0;
+  double cpu_seconds = 0;
+};
+
+/// One instrumented run of verify_routes_parallel's work split: `threads`
+/// workers claim 64-route batches off one padded counter and verify them
+/// with one shared snapshot Verifier, keeping the verdicts worker-local
+/// until the main thread drops them after the join.
+json::Object ledger_row(unsigned threads) {
+  const auto& rs = routes();
+  const verify::Verifier verifier(world().lyzer.snapshot());
+  constexpr std::size_t kBatch = 64;
+  struct alignas(64) Claim {
+    std::atomic<std::size_t> next{0};
+  } claim;
+  std::vector<ThreadLedger> ledger(threads);
+  std::vector<std::vector<std::vector<verify::HopCheck>>> kept(threads);
+
+  const std::int64_t allocations_before = bench::allocation_count();
+  const auto start = std::chrono::steady_clock::now();
+  auto worker = [&](unsigned t) {
+    const double cpu_start = thread_cpu_seconds();
+    std::size_t verified = 0;
+    while (true) {
+      const std::size_t begin = claim.next.fetch_add(kBatch, std::memory_order_relaxed);
+      if (begin >= rs.size()) break;
+      const std::size_t end = std::min(begin + kBatch, rs.size());
+      for (std::size_t i = begin; i < end; ++i) kept[t].push_back(verifier.verify_route(rs[i]));
+      verified += end - begin;
+    }
+    ledger[t] = {verified, thread_cpu_seconds() - cpu_start};
+  };
+  std::vector<std::thread> pool;
+  for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker, t);
+  for (auto& thread : pool) thread.join();
+  const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - start;
+  const std::int64_t allocations = bench::allocation_count() - allocations_before;
+  kept.clear();
+
+  double cpu_seconds = 0;
+  json::Array per_thread;
+  for (const ThreadLedger& entry : ledger) {
+    cpu_seconds += entry.cpu_seconds;
+    json::Object row;
+    row["routes"] = static_cast<std::int64_t>(entry.routes);
+    row["cpu_seconds"] = entry.cpu_seconds;
+    per_thread.emplace_back(std::move(row));
+  }
+  const double route_count = static_cast<double>(rs.size());
+  json::Object row;
+  row["threads"] = static_cast<std::int64_t>(threads);
+  row["wall_seconds"] = wall.count();
+  row["cpu_seconds"] = cpu_seconds;
+  row["cpu_ns_per_route"] = cpu_seconds / route_count * 1e9;
+  row["allocations_per_route"] = static_cast<double>(allocations) / route_count;
+  row["per_thread"] = per_thread;
+  return row;
+}
+
 int write_verify_json() {
   const auto& rs = routes();
   const double route_count = static_cast<double>(rs.size());
@@ -175,7 +273,22 @@ int write_verify_json() {
   doc["sweep"] = sweep;
   doc["gate_single_thread_speedup"] = 2.0;
   doc["gate"] = bench::gate_marker(enforced);
-  doc["pass"] = pass;
+
+  verify::VerifyOptions interpreted_options;
+  interpreted_options.use_snapshot = false;
+  const double snapshot_allocations =
+      allocations_per_route(verify::Verifier(world().lyzer.snapshot()));
+  doc["snapshot_allocations_per_route"] = snapshot_allocations;
+  doc["interpreted_allocations_per_route"] = allocations_per_route(verify::Verifier(
+      world().lyzer.index(), world().lyzer.relations(), interpreted_options));
+  doc["gate_allocations_per_route"] = kMaxAllocationsPerRoute;
+  const bool allocations_pass = snapshot_allocations <= kMaxAllocationsPerRoute;
+  doc["allocation_gate"] = bench::gate_marker(true);
+
+  json::Array ledger;
+  for (unsigned threads : {1u, 2u, 4u}) ledger.emplace_back(ledger_row(threads));
+  doc["ledger"] = ledger;
+  doc["pass"] = pass && allocations_pass;
   const std::string text = json::dump_pretty(json::Value(doc)) + "\n";
 
   std::FILE* out = std::fopen("BENCH_verify.json", "wb");
@@ -191,7 +304,10 @@ int write_verify_json() {
   } else {
     std::printf("perf_verify snapshot-vs-interpreted: %s\n", pass ? "PASS" : "FAIL");
   }
-  return pass ? 0 : 1;
+  std::printf("perf_verify allocations per route: %.2f (gate <= %.0f): %s\n",
+              snapshot_allocations, kMaxAllocationsPerRoute,
+              allocations_pass ? "PASS" : "FAIL");
+  return pass && allocations_pass ? 0 : 1;
 }
 
 }  // namespace

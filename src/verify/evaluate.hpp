@@ -39,9 +39,28 @@ enum class EvalClass : std::uint8_t {
   kNotApplicable,   // wrong address family
 };
 
+/// The report items of one check under evaluation, owned by the caller and
+/// reused across checks so its capacity is paid for once.
+///
+/// Every evaluation step appends its items at the end of the buffer and
+/// returns them as the range [size on entry, size on return): a result is
+/// always the buffer's tail. Sub-terms are evaluated one after another, so
+/// sibling results sit side by side and are merged, reordered or dropped in
+/// place; dropping truncates the buffer, which keeps its capacity. Every
+/// range is free of duplicates.
+using ItemBuffer = std::vector<ReportItem>;
+
+/// [begin, end) indexes into an ItemBuffer.
+struct ItemRange {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+
+  std::size_t size() const noexcept { return end - begin; }
+};
+
 struct RuleOutcome {
   EvalClass cls = EvalClass::kNotApplicable;
-  std::vector<ReportItem> items;
+  ItemRange items;
 };
 
 /// The interpreted corpus: evaluation directly against the IRR index, kept
@@ -84,17 +103,22 @@ struct EvalContextT {
 
 using EvalContext = EvalContextT<InterpretedCorpus>;
 
-/// Evaluate one rule (a full import/export attribute) against the context.
+/// Evaluate one rule (a full import/export attribute) against the context,
+/// appending its items to `items`.
 template <typename Corpus>
-RuleOutcome evaluate_rule(const ir::Rule& rule, const EvalContextT<Corpus>& ctx);
+RuleOutcome evaluate_rule(const ir::Rule& rule, const EvalContextT<Corpus>& ctx,
+                          ItemBuffer& items);
 
 extern template RuleOutcome evaluate_rule<InterpretedCorpus>(
-    const ir::Rule&, const EvalContextT<InterpretedCorpus>&);
+    const ir::Rule&, const EvalContextT<InterpretedCorpus>&, ItemBuffer&);
 extern template RuleOutcome evaluate_rule<compile::CompiledPolicySnapshot>(
-    const ir::Rule&, const EvalContextT<compile::CompiledPolicySnapshot>&);
+    const ir::Rule&, const EvalContextT<compile::CompiledPolicySnapshot>&, ItemBuffer&);
 
-/// Pick the better of two outcomes under §5 ordering, merging items when
-/// both are mismatches (all rules' mismatch explanations are reported).
-RuleOutcome combine_best(RuleOutcome a, RuleOutcome b);
+/// Pick the better of two adjacent outcomes (`a` directly followed by `b`,
+/// the buffer's tail) under §5 ordering. When both are mismatches, the
+/// better one's items come first, then the other's not already present (all
+/// rules' mismatch explanations are reported); otherwise the loser's items
+/// are dropped.
+RuleOutcome combine_best(RuleOutcome a, RuleOutcome b, ItemBuffer& items);
 
 }  // namespace rpslyzer::verify::internal

@@ -97,14 +97,20 @@ class Verifier {
   bool only_provider_policies(Asn asn) const;
 
  private:
+  /// One import or export check. Rule evaluation writes its report items
+  /// into `scratch`, which the caller owns and may reuse across checks
+  /// (verify_route keeps one per route); only the winning items are moved
+  /// out, into the result's exact-size vector.
   CheckResult check(Asn self, Asn peer, bool is_import, const bgp::Route& route,
-                    std::span<const Asn> announced_path) const;
+                    std::span<const Asn> announced_path,
+                    std::vector<ReportItem>& scratch) const;
 
   /// Shared tail of check(): §5 status from the best rule outcome, then the
-  /// §5.1.1 relaxations and §5.1.2 safelists in paper order. Backend
-  /// differences are confined to the small dispatch helpers below.
-  CheckResult classify(internal::RuleOutcome best, Asn self, Asn peer, bool is_import,
-                       const bgp::Route& route) const;
+  /// §5.1.1 relaxations and §5.1.2 safelists in paper order. `best` indexes
+  /// its items in `scratch`. Backend differences are confined to the small
+  /// dispatch helpers below.
+  CheckResult classify(const internal::RuleOutcome& best, std::vector<ReportItem>& scratch,
+                       Asn self, Asn peer, bool is_import, const bgp::Route& route) const;
 
   bool relax_export_self(Asn self, const net::Prefix& prefix) const;
   bool contains_origin(const std::string& as_set, Asn origin) const;
