@@ -18,6 +18,12 @@ set -euo pipefail
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${1:-$ROOT/build-sanitize}"
 
+# Any UBSan report aborts the process with a stack trace, so the test that
+# triggered it fails (the build also compiles with
+# -fno-sanitize-recover=undefined). ctest hides the output of passing
+# tests, so a report that merely printed would go unseen.
+export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
+
 # Cheap static gate first: every metric family minted in src/ must be in
 # DESIGN.md's metrics table before we spend minutes on sanitizer builds.
 "$ROOT/scripts/check_metrics_docs.sh"

@@ -55,7 +55,15 @@ inline bool tracing_on() noexcept {
 // query becomes greppable end to end. 0 means "no trace context".
 
 namespace detail {
-extern thread_local std::uint64_t current_trace;
+/// constinit tells every including translation unit that the variable needs
+/// no dynamic initialization, so accesses are plain thread-pointer-relative
+/// loads and stores. Without it gcc routes each access through a TLS
+/// wrapper that first tests a weak, here always null, init-function
+/// address; in sanitizer builds gcc 12 then branches its null check of the
+/// variable's address on the flags of that test (the address itself is
+/// computed by a flag-preserving lea), so UBSan reported "store to null
+/// pointer" for a store that was valid.
+extern constinit thread_local std::uint64_t current_trace;
 }  // namespace detail
 
 /// The trace id installed on this thread (0 = none). One thread-local read.

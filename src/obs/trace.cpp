@@ -14,7 +14,7 @@ namespace rpslyzer::obs {
 
 namespace detail {
 std::atomic<bool> trace_enabled{false};
-thread_local std::uint64_t current_trace = 0;
+constinit thread_local std::uint64_t current_trace = 0;
 }  // namespace detail
 
 namespace {

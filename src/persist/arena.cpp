@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstddef>
 #include <cstdio>
@@ -99,10 +100,14 @@ std::vector<std::byte> ArenaWriter::build_image(std::uint64_t build_id) const {
   header.flags = 0;
   header.build_id = build_id;
   header.file_size = file_size;
-  std::memcpy(image.data() + kFixedHeaderSize, table.data(), table_bytes);
+  // memcpy from an empty vector's data() (possibly null) is undefined even
+  // for zero bytes: an image may have no sections, and a section may be
+  // empty.
+  if (table_bytes != 0) std::memcpy(image.data() + kFixedHeaderSize, table.data(), table_bytes);
   for (std::size_t i = 0; i < sections_.size(); ++i) {
-    std::memcpy(image.data() + table[i].offset, sections_[i].payload.data(),
-                sections_[i].payload.size());
+    const auto& payload = sections_[i].payload;
+    std::copy(payload.begin(), payload.end(),
+              image.begin() + static_cast<std::ptrdiff_t>(table[i].offset));
   }
   header.checksum = digest64(
       std::span<const std::byte>(image).subspan(kFixedHeaderSize, file_size - kFixedHeaderSize));
